@@ -111,6 +111,8 @@
 //! staleness bookkeeping.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::qualify::QualifiedBid;
 use crate::types::{BidRef, Round, Window};
@@ -155,11 +157,22 @@ impl From<&[QualifiedBid]> for ColumnarBids {
             round_times: Vec::with_capacity(n),
         };
         // Dense client slots in first-appearance order: deterministic, and
-        // independent of how sparse the raw ClientId space is.
-        let mut slot_of = std::collections::HashMap::new();
+        // independent of how sparse the raw ClientId space is. Qualified
+        // rows arrive client-major, so a repeat of the previous client
+        // reuses its slot and the map sees each client about once.
+        let mut slot_of: HashMap<u32, u32, BuildHasherDefault<ClientIdHasher>> = HashMap::default();
+        let mut last: Option<(u32, u32)> = None;
         for b in bids {
-            let next = slot_of.len() as u32;
-            let slot = *slot_of.entry(b.bid_ref.client.0).or_insert(next);
+            let client = b.bid_ref.client.0;
+            let slot = match last {
+                Some((c, slot)) if c == client => slot,
+                _ => {
+                    let next = slot_of.len() as u32;
+                    let slot = *slot_of.entry(client).or_insert(next);
+                    last = Some((client, slot));
+                    slot
+                }
+            };
             cols.refs.push(b.bid_ref);
             cols.client_slots.push(slot);
             cols.prices.push(b.price);
@@ -171,6 +184,34 @@ impl From<&[QualifiedBid]> for ColumnarBids {
         }
         cols.num_clients = slot_of.len();
         cols
+    }
+}
+
+/// Multiplicative hashing of a `u32` client id for the per-WDP slot map:
+/// one multiply by the 64-bit golden ratio, folded so the low bits the
+/// table indexes by depend on every bit of the id. Instance client ids
+/// are dense indices that `Instance::add_client` assigns (`add_bid`
+/// rejects any other), so no input from outside the program picks the
+/// keys and SipHash's flooding resistance buys nothing here.
+#[derive(Default)]
+struct ClientIdHasher(u64);
+
+impl Hasher for ClientIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `u32` keys arrive through `write_u32`; fold anything else
+        // bytewise.
+        for &byte in bytes {
+            self.write_u32(self.0 as u32 ^ u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -56,16 +56,81 @@ impl Wdp {
 
     /// A quick necessary (not sufficient) feasibility check: every round
     /// must be inside at least `K` qualified windows of *distinct* clients.
+    ///
+    /// Distinct clients per round come from a difference array: each
+    /// client's windows are merged into disjoint intervals, every merged
+    /// interval adds +1 at its start and −1 one past its end, and a prefix
+    /// sum yields the per-round count. Rows sorted by client — the
+    /// client-major order [`SweepPrecomp::qualify_at`] and
+    /// [`qualify()`](crate::qualify()) emit — are consumed in one pass,
+    /// one client run at a time: `O(N log J + T̂_g)` for `N` bids of at
+    /// most `J` per client, with no per-call buffer of size `N`. Rows in
+    /// any other order (hand-built instances, baselines) are sorted by
+    /// client first. The per-round `HashSet` reference lives in
+    /// `fl-certify`.
+    ///
+    /// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
     pub fn obviously_infeasible(&self) -> bool {
-        let mut per_round: Vec<std::collections::HashSet<u32>> =
-            vec![std::collections::HashSet::new(); self.horizon as usize];
-        for b in &self.bids {
-            for t in b.window.rounds() {
-                per_round[t.index()].insert(b.bid_ref.client.0);
+        let row = |b: &QualifiedBid| (b.bid_ref.client.0, b.window.start().0, b.window.end().0);
+        let mut diff = vec![0i64; self.horizon as usize + 1];
+        if !add_client_runs(&mut diff, self.bids.iter().map(row)) {
+            let mut rows: Vec<(u32, u32, u32)> = self.bids.iter().map(row).collect();
+            rows.sort_unstable();
+            diff.fill(0);
+            add_client_runs(&mut diff, rows.into_iter());
+        }
+        let mut distinct = 0i64;
+        diff[..self.horizon as usize].iter().any(|&d| {
+            distinct += d;
+            distinct < i64::from(self.k)
+        })
+    }
+}
+
+/// Adds each client's coverage to the difference array `diff` (index
+/// `t − 1` ↔ round `t`) from `(client, start, end)` rows sorted by
+/// client. Returns `false`, leaving `diff` partly filled, at the first
+/// row whose client sorts before the previous row's.
+fn add_client_runs(diff: &mut [i64], rows: impl Iterator<Item = (u32, u32, u32)>) -> bool {
+    let mut run: Vec<(u32, u32)> = Vec::new();
+    let mut client = None;
+    for (c, a, d) in rows {
+        if client != Some(c) {
+            if client.is_some_and(|prev| c < prev) {
+                return false;
+            }
+            add_merged(diff, &mut run);
+            client = Some(c);
+        }
+        run.push((a, d));
+    }
+    add_merged(diff, &mut run);
+    true
+}
+
+/// Adds one client's windows `run` to `diff` so that each maximal union
+/// of overlapping windows counts once, then empties `run`.
+fn add_merged(diff: &mut [i64], run: &mut Vec<(u32, u32)>) {
+    let mut mark = |(s, e): (u32, u32)| {
+        diff[s as usize - 1] += 1;
+        diff[e as usize] -= 1;
+    };
+    run.sort_unstable();
+    let mut merged: Option<(u32, u32)> = None;
+    for &(a, d) in run.iter() {
+        match merged {
+            Some((s, e)) if a <= e => merged = Some((s, e.max(d))),
+            _ => {
+                if let Some(done) = merged.replace((a, d)) {
+                    mark(done);
+                }
             }
         }
-        per_round.iter().any(|s| (s.len() as u32) < self.k)
     }
+    if let Some(done) = merged {
+        mark(done);
+    }
+    run.clear();
 }
 
 /// One accepted bid in a WDP solution.
@@ -298,6 +363,32 @@ mod tests {
         // Two bids of the SAME client do not count twice.
         let w3 = Wdp::new(2, 2, vec![qb(0, 0, 2.0, 1, 2, 1), qb(0, 1, 2.0, 1, 2, 2)]);
         assert!(w3.obviously_infeasible());
+    }
+
+    #[test]
+    fn obvious_infeasibility_merges_each_clients_windows_in_any_row_order() {
+        // Client 0's windows overlap ([1,3] ∪ [2,5]) and touch ([6,6]);
+        // client 1 covers [1,6]. Every round has exactly two distinct
+        // clients, so K = 2 passes and K = 3 fails — whatever the order.
+        let rows = vec![
+            qb(0, 0, 1.0, 2, 5, 1),
+            qb(0, 1, 1.0, 6, 6, 1),
+            qb(0, 2, 1.0, 1, 3, 1),
+            qb(1, 0, 1.0, 1, 6, 1),
+        ];
+        let interleaved = vec![rows[3], rows[0], rows[2], rows[1]];
+        for bids in [rows, interleaved] {
+            assert!(!Wdp::new(6, 2, bids.clone()).obviously_infeasible());
+            assert!(Wdp::new(6, 3, bids).obviously_infeasible());
+        }
+        // A gap between one client's windows leaves round 4 at one client.
+        let gap = vec![
+            qb(1, 0, 1.0, 1, 6, 1),
+            qb(5, 0, 1.0, 5, 6, 1),
+            qb(5, 1, 1.0, 1, 3, 1),
+        ];
+        assert!(Wdp::new(6, 2, gap).obviously_infeasible());
+        assert!(Wdp::new(1, 1, Vec::new()).obviously_infeasible());
     }
 
     #[test]

@@ -111,8 +111,9 @@ impl AWinner {
         self
     }
 
-    /// Disables the dual certificate (skips the `O(I·J·T̂_g)` post-pass;
-    /// useful in tight benchmarking loops).
+    /// Disables the dual certificate (skips the `O(N + T̂_g·log T̂_g +
+    /// K·T̂_g)` post-pass over `N` qualified bids; useful in tight
+    /// benchmarking loops).
     pub fn without_certificate(mut self) -> Self {
         self.with_certificate = false;
         self
@@ -553,14 +554,9 @@ fn build_certificate(wdp: &Wdp, raw: &[RawWinner], phi: &[Vec<f64>]) -> DualCert
     // every bid and schedule. (Differential fuzzing caught the narrower
     // recorded-averages domain producing infeasible duals with D > OPT;
     // see crates/certify/corpus/.)
+    let (psi_max, psi_min) = psi_bounds(wdp);
     let mut omega: f64 = 0.0;
-    for t in (1..=horizon).map(Round) {
-        let mut psi_max: f64 = 0.0;
-        let mut psi_min = f64::INFINITY;
-        for b in wdp.bids().iter().filter(|b| b.window.contains(t)) {
-            psi_max = psi_max.max(b.price);
-            psi_min = psi_min.min(b.price / f64::from(b.rounds.max(1)));
-        }
+    for (&psi_max, &psi_min) in psi_max.iter().zip(&psi_min) {
         let w_t = if psi_min > 0.0 && psi_min.is_finite() {
             psi_max / psi_min
         } else if psi_max == 0.0 {
@@ -599,6 +595,48 @@ fn build_certificate(wdp: &Wdp, raw: &[RawWinner], phi: &[Vec<f64>]) -> DualCert
         lambda,
         dual_objective,
     }
+}
+
+/// Per-round `(ψ_max^t, ψ_min^t)` (index 0 ↔ round 1): the largest price
+/// and the smallest `ρ/c` over every bid whose window covers `t`, or
+/// `(0, ∞)` for a round no window covers.
+///
+/// One pass over the bids instead of one scan per round: a window
+/// `[a, d]` is written into the two blocks of length `2^k ≤ d − a + 1`
+/// that start at `a` and end at `d`, as in a sparse table. A final sweep
+/// pushes every level down to single rounds. That is
+/// `O(N + T̂_g·log T̂_g)`. Max and min are idempotent and
+/// order-independent, so the overlapping blocks and the visiting order
+/// leave every value bit-identical to the per-round scan.
+fn psi_bounds(wdp: &Wdp) -> (Vec<f64>, Vec<f64>) {
+    let rounds = wdp.horizon() as usize;
+    let levels = rounds.ilog2() as usize + 1;
+    // Level `k` holds, at offset `k·rounds + i`, the bound over the
+    // block of rounds `i + 1 ..= i + 2^k`.
+    let mut psi_max = vec![0.0f64; levels * rounds];
+    let mut psi_min = vec![f64::INFINITY; levels * rounds];
+    for b in wdp.bids() {
+        let (a, d) = (b.window.start().index(), b.window.end().index());
+        let k = (d - a + 1).ilog2() as usize;
+        let avg = b.price / f64::from(b.rounds.max(1));
+        for i in [k * rounds + a, k * rounds + d + 1 - (1 << k)] {
+            psi_max[i] = psi_max[i].max(b.price);
+            psi_min[i] = psi_min[i].min(avg);
+        }
+    }
+    for k in (1..levels).rev() {
+        let half = 1 << (k - 1);
+        for i in 0..=rounds - (1 << k) {
+            let (hi, lo) = (k * rounds + i, (k - 1) * rounds + i);
+            for j in [lo, lo + half] {
+                psi_max[j] = psi_max[j].max(psi_max[hi]);
+                psi_min[j] = psi_min[j].min(psi_min[hi]);
+            }
+        }
+    }
+    psi_max.truncate(rounds);
+    psi_min.truncate(rounds);
+    (psi_max, psi_min)
 }
 
 #[cfg(test)]

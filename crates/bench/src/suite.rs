@@ -5,7 +5,8 @@
 //! pipeline entry points (`run_auction_with`, `sweep_horizons`, the
 //! Myerson re-pricer, the FedAvg simulator) under a fresh thread-local
 //! [`Recorder`]. A scenario is executed `runs` times: the minimum wall
-//! clock becomes the record's timing statistic, and every pass's
+//! clock becomes the record's timing statistic, the phase profile comes
+//! from that same fastest pass, and every pass's
 //! timing-free telemetry (span tree, counters, gauges, histograms,
 //! messages) plus economics must agree **bit-for-bit** — any divergence is
 //! a determinism bug and fails the run before anything is written.
@@ -688,7 +689,10 @@ pub fn run_scenario(scenario: &Scenario, smoke: bool, runs: usize) -> Result<Ben
     let runs = runs.max(2); // at least two passes for the determinism check
     let scale = scenario.scale(smoke);
     let mut runs_ms: Vec<f64> = Vec::with_capacity(runs);
-    let mut first: Option<(Snapshot, EconomicHealth, String)> = None;
+    let mut reference: Option<String> = None;
+    // The phase profile comes from the pass that sets `min_ms`, so the
+    // phases account for the headline time rather than a slower pass.
+    let mut fastest: Option<(Snapshot, EconomicHealth, PhaseList)> = None;
     for pass in 0..runs {
         let recorder = Arc::new(Recorder::default());
         let guard = install_local(recorder.clone());
@@ -697,12 +701,11 @@ pub fn run_scenario(scenario: &Scenario, smoke: bool, runs: usize) -> Result<Ben
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         drop(guard);
         let health = health?;
-        runs_ms.push(elapsed_ms);
         let snapshot = recorder.snapshot();
         let view = deterministic_pass_view(&snapshot, &health);
-        match &first {
-            None => first = Some((snapshot, health, view)),
-            Some((_, _, reference)) => {
+        match &reference {
+            None => reference = Some(view),
+            Some(reference) => {
                 if view != *reference {
                     return Err(format!(
                         "scenario {}: pass {} diverged from pass 0 on timing-free \
@@ -712,13 +715,17 @@ pub fn run_scenario(scenario: &Scenario, smoke: bool, runs: usize) -> Result<Ben
                 }
             }
         }
+        // The daemon-side quantiles of this pass (service scenarios only).
+        let server = SERVER_PHASES.with(|p| std::mem::take(&mut *p.borrow_mut()));
+        if runs_ms.iter().all(|&ms| elapsed_ms < ms) {
+            fastest = Some((snapshot, health, server));
+        }
+        runs_ms.push(elapsed_ms);
     }
-    let (snapshot, health, _) = first.expect("runs >= 2");
+    let (snapshot, health, server) = fastest.expect("runs >= 2");
     let (mut phases, counters) = BenchRecord::profile_from_snapshot(&snapshot);
     if scenario.kind == ScenarioKind::Service {
-        // Merge the daemon-side quantiles captured by the last pass;
-        // call counts are identical across passes by construction.
-        let server = SERVER_PHASES.with(|p| std::mem::take(&mut *p.borrow_mut()));
+        // Call counts are identical across passes by construction.
         phases.extend(server);
         phases.sort_by(|a, b| a.0.cmp(&b.0));
     }
@@ -794,6 +801,40 @@ mod tests {
             // All three share one shape so the trajectory isolates the
             // bid count.
             assert_eq!((s.full.rounds, s.full.k), (64, 8), "{name} shape drifted");
+        }
+    }
+
+    #[test]
+    fn the_phase_profile_comes_from_the_fastest_pass() {
+        // Root spans run one after another inside the timed region, so on
+        // the pass that sets `min_ms` their totals add up to at most
+        // `min_ms`. A thread's first pass runs cold and is the slowest;
+        // profiling it broke this bound.
+        for (name, roots) in [
+            (
+                "winner_fig3",
+                &["wdp_greedy", "payment", "dual_certificate"][..],
+            ),
+            ("afl_fig5", &["afl_run"][..]),
+        ] {
+            let scenario = find_scenario(name).expect("scenario is in the curated set");
+            let record = run_scenario(&scenario, true, 5).expect("smoke run succeeds");
+            let total: f64 = roots
+                .iter()
+                .map(|root| {
+                    let (_, phase) = record
+                        .phases
+                        .iter()
+                        .find(|(n, _)| n == root)
+                        .unwrap_or_else(|| panic!("{name} records no {root} span"));
+                    phase.total_ms
+                })
+                .sum();
+            assert!(
+                total <= record.timing.min_ms,
+                "{name}: root spans take {total} ms, more than the headline min {} ms",
+                record.timing.min_ms
+            );
         }
     }
 

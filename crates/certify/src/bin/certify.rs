@@ -224,6 +224,8 @@ fn known_property(name: &str) -> Option<&'static str> {
         prop::ONLINE_IR,
         prop::ONLINE_POSTED_TRUTHFUL,
         prop::ONLINE_INCREMENTAL_BATCH,
+        prop::FEASIBILITY_ORACLE,
+        prop::OMEGA_ORACLE,
     ]
     .into_iter()
     .find(|&code| code == name)

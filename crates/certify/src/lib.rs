@@ -15,6 +15,9 @@
 //!   [`fl_exact`]'s two provers, Myerson-threshold truthfulness probes,
 //!   loser monotonicity, payment identities, and all of `fl_auction`'s
 //!   ILP/IR/certificate verifiers.
+//! * [`oracle`] keeps the per-round reference versions of the checks
+//!   `fl_auction` runs in linear time (the `HashSet` feasibility check
+//!   and the certificate's `ω` rescan).
 //! * [`replay`] certifies the `fl-flpd` journal-replay invariant: an
 //!   epoch recovered from the service's write-ahead journal must be
 //!   bit-identical to a fresh solve on the recorded bid set.
@@ -36,6 +39,7 @@
 
 pub mod corpus;
 pub mod gen;
+pub mod oracle;
 pub mod props;
 pub mod replay;
 pub mod shrink;

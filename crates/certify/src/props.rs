@@ -20,8 +20,10 @@
 //! 3. **Feasibility and identities** — `fl_auction::verify`'s ILP checks,
 //!    individual rationality, the Alg. 3 payment identity
 //!    `payment = gain · critical_avg` replayed from the selection trace,
-//!    and consistency of `run_auction`'s horizon pick with a manual fold
-//!    over the sweep.
+//!    consistency of `run_auction`'s horizon pick with a manual fold
+//!    over the sweep, and, at every candidate horizon, the linear-time
+//!    feasibility check and certificate `ω` against their per-round
+//!    [`crate::oracle`]s.
 //!
 //! A documented non-bug is classified as a statistic, not a violation:
 //! greedy `A_winner` can stall (report infeasible) on instances the exact
@@ -46,6 +48,7 @@ use fl_auction::{
 use fl_exact::{BruteForceSolver, ExactSolver, Optimality, ProvingWdpSolver};
 
 use crate::gen::CertInstance;
+use crate::oracle;
 
 /// Bid-count ceiling for the exhaustive yardstick (well under
 /// [`fl_exact::MAX_BIDS`]; the generator stays below it by construction).
@@ -113,6 +116,13 @@ pub mod prop {
     /// Online mode: the incremental qualified-set precomp diverged from
     /// its batch-equivalence oracle ([`fl_auction::SweepPrecomp::rebatch`]).
     pub const ONLINE_INCREMENTAL_BATCH: &str = "online_incremental_vs_batch";
+    /// `Wdp::obviously_infeasible` disagrees with the per-round `HashSet`
+    /// oracle ([`crate::oracle::obviously_infeasible`]), in the rows'
+    /// qualified order or with the clients interleaved.
+    pub const FEASIBILITY_ORACLE: &str = "feasibility_vs_oracle";
+    /// The certificate's `ω` is not bit-identical to the per-round rescan
+    /// ([`crate::oracle::omega`]).
+    pub const OMEGA_ORACLE: &str = "certificate_omega_vs_oracle";
 }
 
 /// One failed property with human-readable context.
@@ -223,6 +233,7 @@ pub fn check(ci: &CertInstance) -> Report {
     let mut best: Option<(u32, f64)> = None;
     for h in t0..=t {
         let wdp = qualify(&instance, h);
+        check_feasibility_oracle(&wdp, &mut v);
         if wdp.bids().is_empty() {
             continue;
         }
@@ -231,6 +242,7 @@ pub fn check(ci: &CertInstance) -> Report {
         let (opt, exact_feasible) = check_exact(&wdp, h, &g, &mut v, &mut stats);
         match &g {
             Ok(sol) => {
+                check_omega_oracle(&wdp, sol, &mut v);
                 push_all(&mut v, prop::WDP, h, verify::wdp_violations(&wdp, sol));
                 push_all(&mut v, prop::IR, h, verify::ir_violations(sol));
                 push_all(&mut v, prop::CERT, h, verify::certificate_violations(sol));
@@ -300,6 +312,49 @@ pub fn check(ci: &CertInstance) -> Report {
     Report {
         violations: v,
         stats,
+    }
+}
+
+/// Holds `Wdp::obviously_infeasible` to its per-round `HashSet` oracle,
+/// on the qualified rows (client-major) and on the same rows dealt out
+/// bid index first, which interleaves the clients (the sorting path).
+fn check_feasibility_oracle(wdp: &Wdp, v: &mut Vec<Violation>) {
+    let expected = oracle::obviously_infeasible(wdp);
+    let mut interleaved = wdp.bids().to_vec();
+    interleaved.sort_by_key(|b| (b.bid_ref.bid, b.bid_ref.client));
+    let interleaved = Wdp::new(wdp.horizon(), wdp.demand_per_round(), interleaved);
+    for (order, got) in [
+        ("qualified", wdp.obviously_infeasible()),
+        ("interleaved", interleaved.obviously_infeasible()),
+    ] {
+        if got != expected {
+            v.push(Violation {
+                property: prop::FEASIBILITY_ORACLE,
+                detail: format!(
+                    "T_g={}: obviously_infeasible() = {got} on {order} rows, oracle says {expected}",
+                    wdp.horizon()
+                ),
+            });
+        }
+    }
+}
+
+/// Holds the certificate's `ω` to the per-round rescan, bit for bit.
+fn check_omega_oracle(wdp: &Wdp, sol: &WdpSolution, v: &mut Vec<Violation>) {
+    let Some(cert) = sol.certificate() else {
+        return;
+    };
+    let expected = oracle::omega(wdp);
+    if cert.omega.to_bits() != expected.to_bits() {
+        v.push(Violation {
+            property: prop::OMEGA_ORACLE,
+            detail: format!(
+                "T_g={}: certificate omega {:e} differs from the rescan's {:e}",
+                wdp.horizon(),
+                cert.omega,
+                expected
+            ),
+        });
     }
 }
 

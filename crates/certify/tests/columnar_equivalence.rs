@@ -7,9 +7,11 @@
 //! that historically break greedy/payment code — and requires bit-identical
 //! solutions (winners, schedules, payments, certificates) and selection
 //! traces. It also property-tests the `ColumnarBids` round-trip on the
-//! same qualified bid sets.
+//! same qualified bid sets, and holds the difference-array
+//! `Wdp::obviously_infeasible` to its per-round `HashSet` oracle on raw
+//! rows whose clients arrive interleaved.
 
-use fl_certify::{generate, Shape, SplitMix64};
+use fl_certify::{generate, oracle, Shape, SplitMix64};
 
 use fl_auction::{qualify, AWinner, ColumnarBids, QualifiedBid, Wdp};
 
@@ -75,24 +77,37 @@ fn columnar_bids_round_trip_on_all_shape_families() {
         let distinct: std::collections::BTreeSet<u32> =
             wdp.bids().iter().map(|b| b.bid_ref.client.0).collect();
         assert_eq!(cols.num_clients(), distinct.len());
+        assert_eq!(
+            wdp.obviously_infeasible(),
+            oracle::obviously_infeasible(wdp),
+            "seed {seed} ({shape}) T̂_g={horizon}: feasibility verdict diverged"
+        );
     });
 }
+
+/// Rounds spanned by the raw random rows (windows start in `1..=10`).
+const ROWS_HORIZON: u32 = 16;
 
 #[test]
 fn columnar_bids_round_trip_on_adversarial_random_rows() {
     // Property check on raw rows, independent of instance validation:
-    // sparse client ids, duplicate refs, zero prices, non-finite-free but
+    // sparse client ids drawn from a small pool (so clients repeat and
+    // interleave), duplicate refs, zero prices, non-finite-free but
     // extreme values.
     let mut rng = SplitMix64::new(0xc01a_11ab);
-    for _trial in 0..200 {
+    let (mut unsorted, mut feasible, mut infeasible) = (0, 0, 0);
+    for trial in 0..200 {
         let n = rng.below(40) as usize;
+        let pool: Vec<u32> = (0..1 + rng.below(8))
+            .map(|_| rng.next_u64() as u32)
+            .collect();
         let bids: Vec<QualifiedBid> = (0..n)
             .map(|_| {
-                let a = rng.range(1, 30);
-                let d = rng.range(a, 40);
+                let a = rng.range(1, 10);
+                let d = rng.range(a, ROWS_HORIZON);
                 fl_auction::QualifiedBid {
                     bid_ref: fl_auction::BidRef::new(
-                        fl_auction::ClientId(rng.next_u64() as u32),
+                        fl_auction::ClientId(*rng.pick(&pool)),
                         rng.range(0, 9),
                     ),
                     price: rng.below(1 << 50) as f64 / 1024.0,
@@ -105,5 +120,54 @@ fn columnar_bids_round_trip_on_adversarial_random_rows() {
             .collect();
         let cols = ColumnarBids::from(bids.as_slice());
         assert_eq!(cols.to_bids(), bids);
+        // Slots number clients densely in first-appearance order.
+        let mut first_seen: Vec<u32> = Vec::new();
+        for (i, b) in bids.iter().enumerate() {
+            let id = b.bid_ref.client.0;
+            let slot = match first_seen.iter().position(|&c| c == id) {
+                Some(slot) => slot,
+                None => {
+                    first_seen.push(id);
+                    first_seen.len() - 1
+                }
+            };
+            assert_eq!(cols.client_slot(i), slot as u32, "trial {trial}, row {i}");
+        }
+        assert_eq!(cols.num_clients(), first_seen.len());
+        // Feasibility verdicts: the rows as drawn (mostly out of client
+        // order: the sorting path) and sorted by client (the one-pass
+        // path).
+        if bids
+            .windows(2)
+            .any(|p| p[0].bid_ref.client > p[1].bid_ref.client)
+        {
+            unsorted += 1;
+        }
+        let mut sorted = bids.clone();
+        sorted.sort_by_key(|b| b.bid_ref.client);
+        for k in 1..=4 {
+            for rows in [&bids, &sorted] {
+                let wdp = Wdp::new(ROWS_HORIZON, k, rows.clone());
+                let verdict = wdp.obviously_infeasible();
+                assert_eq!(
+                    verdict,
+                    oracle::obviously_infeasible(&wdp),
+                    "trial {trial}, K={k}: feasibility verdict diverged from the oracle"
+                );
+                if verdict {
+                    infeasible += 1;
+                } else {
+                    feasible += 1;
+                }
+            }
+        }
     }
+    assert!(
+        unsorted >= 100,
+        "only {unsorted} row sets arrived out of client order"
+    );
+    assert!(
+        feasible >= 100 && infeasible >= 100,
+        "verdicts too one-sided: {feasible} feasible, {infeasible} infeasible"
+    );
 }
