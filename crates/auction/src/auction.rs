@@ -9,27 +9,24 @@
 //!
 //! # Execution model
 //!
-//! The per-horizon WDPs are independent, so the enumeration fans out over
-//! a scoped worker pool according to the instance's
-//! [`SweepStrategy`](crate::SweepStrategy) (default: `FL_THREADS` or the
-//! machine's available parallelism). Per-horizon qualification uses the
-//! thresholds precomputed once by
-//! [`SweepPrecomp`](crate::preprocess::SweepPrecomp), and
-//! [`run_auction_with`] additionally skips horizons whose
-//! [cost lower bound](crate::preprocess::SweepPrecomp::cost_lower_bound)
-//! proves they cannot beat the best outcome found so far. None of this is
-//! observable in the results:
+//! Per-horizon qualification uses the thresholds precomputed once by
+//! [`SweepPrecomp`]. [`run_auction_with`] visits the horizons in ascending
+//! order on the calling thread and skips any horizon whose
+//! [cost lower bound](SweepPrecomp::cost_lower_bound) proves it cannot
+//! beat the incumbent found at a smaller horizon.
+//! [`sweep_horizons`] never prunes, so its independent per-horizon WDPs fan
+//! out over a scoped worker pool according to the instance's
+//! [`SweepStrategy`](crate::SweepStrategy). None of this is observable in
+//! the results:
 //!
 //! * **Tie-break.** The winning horizon is the *smallest* `T̂_g` attaining
 //!   the minimum social cost, under exact (`<`, no epsilon) comparison.
-//! * **Determinism.** Results are merged in ascending horizon order on the
-//!   calling thread, the shared best-cost cell pruning reads is only
-//!   advanced between waves of `threads` horizons, and worker telemetry is
-//!   captured and replayed in horizon order — so outcomes (and, for a
-//!   fixed strategy, traces) are bit-identical run to run, and outcomes
+//! * **Determinism.** The pruned sweep is one sequential loop, so its
+//!   pruned set, outcome and trace do not depend on the strategy. The
+//!   unpruned sweep merges results in ascending horizon order and replays
+//!   worker telemetry in that order, so its records (and, for a fixed
+//!   strategy, its traces) are bit-identical run to run and its records
 //!   are bit-identical across strategies.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bid::Instance;
 use crate::error::{AuctionError, WdpError};
@@ -121,14 +118,15 @@ pub fn run_auction(instance: &Instance) -> Result<AuctionOutcome, AuctionError> 
 
 /// Runs `A_FL`'s outer enumeration around an arbitrary WDP solver.
 ///
-/// Horizons are processed in waves of `threads` (per the instance's
-/// [`SweepStrategy`](crate::SweepStrategy)); a horizon whose
+/// Horizons are visited in ascending order; a horizon whose
 /// [cost lower bound](SweepPrecomp::cost_lower_bound) strictly exceeds the
-/// best cost found in *earlier waves* is pruned without solving its WDP.
+/// best cost found at a smaller horizon is pruned without solving its WDP.
 /// On cost ties the smallest `T̂_g` wins (exact comparison, no epsilon),
 /// and because pruning requires a *strictly* larger lower bound, a pruned
 /// horizon can never be the tie-break winner — the outcome is identical to
-/// the unpruned sequential fold over [`sweep_horizons`].
+/// the unpruned fold over [`sweep_horizons`]. The instance's
+/// [`SweepStrategy`](crate::SweepStrategy) does not apply here: the loop
+/// always runs on the calling thread.
 ///
 /// # Errors
 ///
@@ -139,26 +137,21 @@ pub fn run_auction(instance: &Instance) -> Result<AuctionOutcome, AuctionError> 
 ///
 /// ```
 /// use fl_auction::{
-///     run_auction_with, AWinner, AuctionConfig, Bid, ClientProfile, Instance, Round,
-///     SweepStrategy, Window,
+///     run_auction_with, AWinner, AuctionConfig, Bid, ClientProfile, Instance, Round, Window,
 /// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let cfg = AuctionConfig::builder()
-///     .max_rounds(4)
-///     .clients_per_round(1)
-///     .sweep_strategy(SweepStrategy::Parallel { threads: 2 })
-///     .build()?;
+/// let cfg = AuctionConfig::builder().max_rounds(4).clients_per_round(1).build()?;
 /// let mut inst = Instance::new(cfg);
 /// let c = inst.add_client(ClientProfile::new(2.0, 5.0)?);
 /// inst.add_bid(c, Bid::new(3.0, 0.5, Window::new(Round(1), Round(4)), 2)?)?;
 /// let outcome = run_auction_with(&inst, &AWinner::new())?;
-/// // Identical to the sequential result: cheapest horizon, smallest on ties.
+/// // The cheapest horizon, the smallest one on ties.
 /// assert_eq!((outcome.horizon(), outcome.social_cost()), (2, 3.0));
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_auction_with<S: WdpSolver + Sync>(
+pub fn run_auction_with<S: WdpSolver>(
     instance: &Instance,
     solver: &S,
 ) -> Result<AuctionOutcome, AuctionError> {
@@ -168,46 +161,32 @@ pub fn run_auction_with<S: WdpSolver + Sync>(
         bids = instance.iter_bids().count() as u64
     );
     let (precomp, horizons) = prepare_sweep(instance)?;
-    let threads = instance.config().sweep_strategy().threads().max(1);
-    // Best social cost so far, shared with workers as raw f64 bits. It is
-    // written only here on the calling thread, between waves, so every
-    // worker in a wave reads the same bound and the set of pruned horizons
-    // is deterministic for a fixed strategy.
-    let best_cost = AtomicU64::new(f64::INFINITY.to_bits());
     let mut best: Option<AuctionOutcome> = None;
-    for wave in horizons.chunks(threads) {
-        let outcomes = ordered_map(wave, threads, |horizon| {
-            let bound = f64::from_bits(best_cost.load(Ordering::Relaxed));
-            // Strict `>`: a lower bound merely *equal* to the incumbent is
-            // still solved, so the smallest-`T̂_g` tie-break never turns on
-            // a pruned horizon and pruning stays outcome-preserving.
-            if precomp.cost_lower_bound(horizon) > bound {
-                let _candidate = span!("tg_candidate", tg = horizon);
-                counter!("afl.horizons_pruned");
-                debug!(
-                    "T_g = {} pruned: lower bound exceeds incumbent {}",
-                    horizon, bound
-                );
-                None
-            } else {
-                Some(evaluate_horizon(&precomp, solver, horizon))
-            }
-        });
-        for h in outcomes.into_iter().flatten() {
-            if let Ok(sol) = h.result {
-                // Exact `<`: on a cost tie the incumbent (earlier, smaller
-                // horizon) is kept.
-                let cheaper = best.as_ref().is_none_or(|b| sol.cost() < b.social_cost());
-                if cheaper {
-                    best = Some(AuctionOutcome {
-                        horizon: h.horizon,
-                        solution: sol,
-                    });
-                }
-            }
+    for &horizon in &horizons {
+        let bound = best
+            .as_ref()
+            .map_or(f64::INFINITY, AuctionOutcome::social_cost);
+        // Strict `>`: a lower bound merely *equal* to the incumbent is
+        // still solved, so the smallest-`T̂_g` tie-break never turns on a
+        // pruned horizon and pruning stays outcome-preserving.
+        if precomp.cost_lower_bound(horizon) > bound {
+            let _candidate = span!("tg_candidate", tg = horizon);
+            counter!("afl.horizons_pruned");
+            debug!(
+                "T_g = {} pruned: lower bound exceeds incumbent {}",
+                horizon, bound
+            );
+            continue;
         }
-        if let Some(b) = &best {
-            best_cost.store(b.social_cost().to_bits(), Ordering::Relaxed);
+        if let Ok(sol) = evaluate_horizon(&precomp, solver, horizon).result {
+            // Exact `<`: on a cost tie the incumbent (smaller horizon) is
+            // kept.
+            if best.as_ref().is_none_or(|b| sol.cost() < b.social_cost()) {
+                best = Some(AuctionOutcome {
+                    horizon,
+                    solution: sol,
+                });
+            }
         }
     }
     counter!("afl.horizons_swept", horizons.len());
@@ -227,9 +206,9 @@ pub fn run_auction_with<S: WdpSolver + Sync>(
 /// (Fig. 7 plots these directly; `A_FL` takes their minimum).
 ///
 /// Unlike [`run_auction_with`] this never prunes — every horizon's record
-/// is returned, in ascending order, regardless of the instance's
-/// [`SweepStrategy`](crate::SweepStrategy) (which only changes how the
-/// per-horizon WDPs are scheduled, never what they return).
+/// is returned, in ascending order. The per-horizon WDPs run on the
+/// instance's [`SweepStrategy`](crate::SweepStrategy), which changes how
+/// they are scheduled, never what they return.
 ///
 /// # Errors
 ///

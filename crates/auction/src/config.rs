@@ -157,8 +157,11 @@ impl AuctionConfig {
         self.qualify_mode
     }
 
-    /// How the horizon sweep is scheduled (default: `FL_THREADS` or the
-    /// machine's available parallelism — see [`SweepStrategy::from_env`]).
+    /// How the unpruned [`sweep_horizons`](crate::sweep_horizons) schedules
+    /// its per-horizon WDPs (default: `FL_THREADS` or the machine's
+    /// available parallelism — see [`SweepStrategy::from_env`]). The pruned
+    /// [`run_auction_with`](crate::run_auction_with) sweep is always
+    /// sequential and ignores it.
     pub fn sweep_strategy(&self) -> SweepStrategy {
         self.sweep_strategy
     }
@@ -226,9 +229,10 @@ impl AuctionConfigBuilder {
         self
     }
 
-    /// Sets the horizon-sweep scheduling strategy (default:
-    /// [`SweepStrategy::from_env`]). Purely an execution knob — outcomes
-    /// and sweep results are bit-identical across strategies.
+    /// Sets how [`sweep_horizons`](crate::sweep_horizons) schedules its
+    /// per-horizon WDPs (default: [`SweepStrategy::from_env`]). Purely an
+    /// execution knob — sweep results are bit-identical across strategies,
+    /// and `run_auction_with` always sweeps sequentially.
     pub fn sweep_strategy(mut self, strategy: SweepStrategy) -> Self {
         self.sweep_strategy = strategy;
         self

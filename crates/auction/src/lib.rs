@@ -16,11 +16,12 @@
 //! * [`Instance`] holds the configuration ([`AuctionConfig`]), client
 //!   profiles and bids.
 //! * [`run_auction`] executes Alg. 1: it enumerates the admissible horizons
-//!   `T̂_g ∈ [T_0, T]`, builds a qualified bid set per horizon
-//!   ([`qualify()`]), solves each winner-determination problem with
-//!   [`AWinner`] (Alg. 2, greedy over representative schedules) and the
-//!   critical-value payment rule (Alg. 3), and returns the cheapest
-//!   feasible [`AuctionOutcome`].
+//!   `T̂_g ∈ [T_0, T]`, serves each horizon's qualified bid set from the
+//!   thresholds [`SweepPrecomp`] computes once per instance (the same set
+//!   [`qualify()`] derives from scratch), solves each
+//!   winner-determination problem with [`AWinner`] (Alg. 2, greedy over
+//!   representative schedules) and the critical-value payment rule
+//!   (Alg. 3), and returns the cheapest feasible [`AuctionOutcome`].
 //! * Every `A_winner` run carries a [`DualCertificate`]: the dual variables
 //!   of the relaxed compact-exponential ILP, giving the per-instance
 //!   approximation bound `H_{T̂_g}·ω` of Lemma 5.
@@ -28,11 +29,12 @@
 //!   branch-and-bound in `fl-exact`) plug into the same outer loop through
 //!   the [`WdpSolver`] trait; [`verify`] re-checks any solver's output
 //!   against ILP (6) independently.
-//! * The horizon enumeration itself runs on a zero-dependency scoped
-//!   worker pool selected by [`SweepStrategy`] (default: `FL_THREADS` or
-//!   the machine's available parallelism), with per-horizon qualification
-//!   served incrementally from [`SweepPrecomp`]. Outcomes are
-//!   bit-identical across strategies; see `ARCHITECTURE.md`.
+//! * [`run_auction`] visits the horizons in ascending order on the calling
+//!   thread and skips any horizon whose cost lower bound exceeds the
+//!   incumbent. The unpruned [`sweep_horizons`] (Fig. 7) runs on a
+//!   zero-dependency scoped worker pool selected by [`SweepStrategy`]
+//!   (default: `FL_THREADS` or the machine's available parallelism); its
+//!   records are bit-identical across strategies. See `ARCHITECTURE.md`.
 //!
 //! # Quickstart
 //!

@@ -1,9 +1,12 @@
-//! The parallel execution substrate of the horizon sweep: a zero-dependency
-//! scoped worker pool plus the [`SweepStrategy`] knob that selects it.
+//! The parallel execution substrate of the unpruned horizon sweep: a
+//! zero-dependency scoped worker pool plus the [`SweepStrategy`] knob that
+//! selects it.
 //!
-//! `A_FL`'s outer loop solves one independent WDP per candidate horizon
-//! `T̂_g ∈ [T_0, T]` — the dominant `O(I·T²(log T + I·J))` term of the
-//! paper — so the sweep is embarrassingly parallel. The pool is built on
+//! [`sweep_horizons`](crate::sweep_horizons) solves one independent WDP per
+//! candidate horizon `T̂_g ∈ [T_0, T]` — the dominant
+//! `O(I·T²(log T + I·J))` term of the paper — so it is embarrassingly
+//! parallel. (`run_auction_with` prunes each horizon against the incumbent
+//! of the smaller ones, so it runs sequentially.) The pool is built on
 //! [`std::thread::scope`] with a shared atomic cursor (chunked round-robin
 //! with dynamic stealing of the next index), so it needs no external crates
 //! and no `unsafe`.
@@ -19,18 +22,18 @@
 //!   exactly (span wall-clock durations are the workers' own).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
-/// How [`sweep_horizons`](crate::sweep_horizons) and
-/// [`run_auction_with`](crate::run_auction_with) schedule the per-horizon
-/// WDPs.
+/// How [`sweep_horizons`](crate::sweep_horizons) schedules the per-horizon
+/// WDPs. [`run_auction_with`](crate::run_auction_with) ignores it: its
+/// pruned sweep always runs on the calling thread.
 ///
 /// The default ([`SweepStrategy::default`]) honours the `FL_THREADS`
 /// environment variable and otherwise uses the machine's available
 /// parallelism. Results are **bit-identical** across strategies: the merge
-/// is always performed in ascending horizon order with the documented
-/// smallest-`T̂_g` tie-break, and worker telemetry is replayed in horizon
-/// order.
+/// is always performed in ascending horizon order, and worker telemetry is
+/// replayed in horizon order.
 ///
 /// ```
 /// use fl_auction::SweepStrategy;
@@ -73,8 +76,11 @@ impl SweepStrategy {
 
     /// The machine default: [`std::thread::available_parallelism`] workers
     /// (sequential on single-core machines or when the count is unknown).
+    /// The count is read from the OS once per process: every config build
+    /// lands here, and the query reads cgroup files on Linux.
     pub fn auto() -> SweepStrategy {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let threads = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
         SweepStrategy::with_threads(threads)
     }
 

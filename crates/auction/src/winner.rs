@@ -9,20 +9,20 @@
 //! run is replayed into the dual of the relaxed compact-exponential ILP to
 //! produce an instance-specific approximation certificate (Lemma 5).
 //!
-//! The default execution path runs over the columnar bid store of
-//! [`crate::columnar`]: a struct-of-arrays view of the qualified bids, a
-//! per-thread scratch arena reused across the horizon sweep, and a
-//! bucketed coverage index that keeps lazy-queue entries valid until a
-//! load inside their window actually changes. The row-form full scan
-//! ([`AWinner::with_full_scan`]) is retained as the equivalence oracle;
-//! both paths are bit-identical (tested here, in the certifier's
-//! shape-family suite, and by the parallel-sweep determinism suite).
+//! The greedy runs over the columnar bid store of [`crate::columnar`]: a
+//! struct-of-arrays view of the qualified bids, a per-thread scratch arena
+//! reused across the horizon sweep, and a bucketed coverage index that
+//! keeps lazy-queue entries valid until a load inside their window
+//! actually changes. Its reference is the row-form full scan
+//! `fl_certify::oracle::greedy`, which re-evaluates every bid each
+//! iteration and builds its own dual certificate;
+//! `crates/certify/tests/columnar_equivalence.rs` holds the two
+//! bit-identical, certificates included, under both schedule policies.
 
 use crate::columnar::{with_scratch, ColumnarBids, HeapSlot};
-use crate::coverage::Coverage;
 use crate::error::WdpError;
 use crate::payment::{payment, PaymentRule};
-use crate::schedule::{gain_in_window, pick_schedule, pick_schedule_into, SchedulePolicy};
+use crate::schedule::{gain_in_window, pick_schedule_into, SchedulePolicy};
 use crate::types::{BidRef, Round};
 use crate::wdp::{DualCertificate, Wdp, WdpSolution, WdpSolver, WinnerEntry};
 use fl_telemetry::{counter, span};
@@ -84,7 +84,6 @@ pub struct AWinner {
     policy: SchedulePolicy,
     payment_rule: PaymentRule,
     with_certificate: bool,
-    full_scan: bool,
 }
 
 impl AWinner {
@@ -95,7 +94,6 @@ impl AWinner {
             policy: SchedulePolicy::LeastLoaded,
             payment_rule: PaymentRule::CriticalValue,
             with_certificate: true,
-            full_scan: false,
         }
     }
 
@@ -119,15 +117,6 @@ impl AWinner {
         self
     }
 
-    /// Forces the straightforward full-scan candidate selection instead of
-    /// the default lazy priority queue. Both produce bit-identical
-    /// results (tested); the full scan re-evaluates every bid each
-    /// iteration and exists as the equivalence oracle and for debugging.
-    pub fn with_full_scan(mut self) -> Self {
-        self.full_scan = true;
-        self
-    }
-
     /// Like [`WdpSolver::solve_wdp`] but also returns the per-iteration
     /// selection trace, in selection order (one [`SelectionStep`] per
     /// winner).
@@ -138,15 +127,6 @@ impl AWinner {
     pub fn solve_traced(&self, wdp: &Wdp) -> Result<(WdpSolution, Vec<SelectionStep>), WdpError> {
         self.solve_inner(wdp)
     }
-}
-
-/// A candidate: an unselected bid with its representative schedule under
-/// the current coverage.
-struct Candidate {
-    bid_idx: usize,
-    schedule: Vec<Round>,
-    gain: u32,
-    avg: f64,
 }
 
 /// Per-winner data retained for the payment pass and the dual replay.
@@ -179,11 +159,7 @@ impl AWinner {
         let bids = wdp.bids();
         let (raw, phi) = {
             let _greedy = span!("wdp_greedy", bids = bids.len() as u64);
-            if self.full_scan {
-                full_scan_greedy(wdp, self.policy)?
-            } else {
-                columnar_greedy(wdp, self.policy)?
-            }
+            columnar_greedy(wdp, self.policy)?
         };
 
         let payments: Vec<f64> = {
@@ -239,65 +215,15 @@ impl AWinner {
     }
 }
 
-/// One greedy iteration's selection: the cheapest candidate of the
-/// candidate set `C` and the runner-up within `C` (for the critical
-/// payment).
-struct IterationPick {
-    best_c: Option<Candidate>,
-    second_c: Option<Candidate>,
-}
-
-/// The row-form greedy loop over [`Coverage`] and [`full_scan_pick`] — the
-/// equivalence oracle for the columnar path ([`columnar_greedy`]). Returns
-/// the selected winners and the per-round `φ(t, l)` averages for the dual
-/// replay.
-fn full_scan_greedy(
-    wdp: &Wdp,
-    policy: SchedulePolicy,
-) -> Result<(Vec<RawWinner>, Vec<Vec<f64>>), WdpError> {
-    let horizon = wdp.horizon();
-    let k = wdp.demand_per_round();
-    let bids = wdp.bids();
-    let mut cov = Coverage::new(horizon, k);
-    let mut pair_selected = vec![false; bids.len()];
-    let mut client_selected: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    let mut raw: Vec<RawWinner> = Vec::new();
-    // φ(t, l) of selected schedules, per round (for η_φ).
-    let mut phi: Vec<Vec<f64>> = vec![Vec::new(); horizon as usize];
-    while !cov.is_complete() {
-        let pick = full_scan_pick(&cov, bids, &pair_selected, &client_selected, policy);
-        let Some(winner) = pick.best_c else {
-            counter!("winner.greedy_iterations", raw.len());
-            return Err(WdpError::Infeasible);
-        };
-        let qb = &bids[winner.bid_idx];
-        let critical_avg = pick.second_c.as_ref().map(|c| c.avg);
-        let available = cov.available_subset(&winner.schedule);
-        debug_assert_eq!(available.len() as u32, winner.gain);
-        for &t in &available {
-            phi[t.index()].push(winner.avg);
-        }
-        cov.add(&winner.schedule);
-        pair_selected[winner.bid_idx] = true;
-        client_selected.insert(qb.bid_ref.client.0);
-        raw.push(RawWinner {
-            bid_idx: winner.bid_idx,
-            schedule: winner.schedule,
-            available,
-            avg: winner.avg,
-            gain: winner.gain,
-            critical_avg,
-        });
-    }
-    counter!("winner.greedy_iterations", raw.len());
-    Ok((raw, phi))
-}
-
 /// The columnar greedy loop — Alg. 2 over the struct-of-arrays store of
 /// [`crate::columnar`], with the lazy candidate queue validated by the
 /// bucketed coverage index instead of per-iteration staleness.
 ///
-/// # Why this is bit-identical to [`full_scan_greedy`]
+/// # Why this is bit-identical to the row-form full scan
+///
+/// The reference (`fl_certify::oracle::greedy`) re-evaluates every
+/// unselected bid against the live coverage in each iteration and selects
+/// the minimum under `(avg, price, bid_ref)`.
 ///
 /// A candidate's average cost `ρ / R_il(S)` can only **grow** as coverage
 /// accumulates (availability shrinks monotonically), so a cached heap key
@@ -482,62 +408,6 @@ fn columnar_greedy(
     Ok((raw, phi))
 }
 
-/// The straightforward O(bids) per-iteration scan (the equivalence oracle).
-fn full_scan_pick(
-    cov: &Coverage,
-    bids: &[crate::QualifiedBid],
-    pair_selected: &[bool],
-    client_selected: &std::collections::HashSet<u32>,
-    policy: SchedulePolicy,
-) -> IterationPick {
-    let mut best_c: Option<Candidate> = None;
-    let mut second_c: Option<Candidate> = None;
-    for (idx, qb) in bids.iter().enumerate() {
-        if pair_selected[idx] {
-            continue;
-        }
-        if client_selected.contains(&qb.bid_ref.client.0) {
-            continue;
-        }
-        let schedule = pick_schedule(cov, qb.window, qb.rounds, policy);
-        let gain = cov.gain(&schedule);
-        if gain == 0 {
-            continue;
-        }
-        let cand = Candidate {
-            bid_idx: idx,
-            schedule,
-            gain,
-            avg: qb.price / f64::from(gain),
-        };
-        if better(&cand, &best_c, bids) {
-            second_c = best_c.take();
-            best_c = Some(cand);
-        } else if better(&cand, &second_c, bids) {
-            second_c = Some(cand);
-        }
-    }
-    IterationPick { best_c, second_c }
-}
-
-/// Deterministic "strictly better" comparison for candidates: smaller
-/// average cost, then smaller price, then smaller bid reference.
-fn better(cand: &Candidate, incumbent: &Option<Candidate>, bids: &[crate::QualifiedBid]) -> bool {
-    let Some(inc) = incumbent else {
-        return true;
-    };
-    let key = |c: &Candidate| {
-        let qb = &bids[c.bid_idx];
-        (c.avg, qb.price, qb.bid_ref)
-    };
-    let (a1, p1, r1) = key(cand);
-    let (a2, p2, r2) = key(inc);
-    a1.total_cmp(&a2)
-        .then(p1.total_cmp(&p2))
-        .then(r1.cmp(&r2))
-        .is_lt()
-}
-
 /// Replays the run into the dual program (Alg. 2 lines 16–23).
 fn build_certificate(wdp: &Wdp, raw: &[RawWinner], phi: &[Vec<f64>]) -> DualCertificate {
     let horizon = wdp.horizon();
@@ -642,6 +512,7 @@ fn psi_bounds(wdp: &Wdp) -> (Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::Coverage;
     use crate::qualify::QualifiedBid;
     use crate::types::{BidRef, ClientId, Window};
 
@@ -873,47 +744,6 @@ mod tests {
         // producing NaN.
         assert!(cert.omega.is_infinite() || cert.omega >= 1.0);
         assert!(!cert.dual_objective.is_nan());
-    }
-
-    #[test]
-    fn lazy_and_full_scan_are_bit_identical() {
-        let mut state = 0x1357_9bdfu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..60 {
-            let h = 3 + (next() % 8) as u32;
-            let k = 1 + (next() % 3) as u32;
-            let n = 6 + (next() % 20) as usize;
-            let bids: Vec<QualifiedBid> = (0..n)
-                .map(|i| {
-                    let a = 1 + (next() % u64::from(h)) as u32;
-                    let d = a + (next() % u64::from(h - a + 1)) as u32;
-                    let c = 1 + (next() % u64::from(d - a + 1)) as u32;
-                    // Deliberately generate duplicate prices to stress
-                    // tie-breaking.
-                    qb(
-                        (i / 2) as u32,
-                        (i % 2) as u32,
-                        (1 + next() % 12) as f64,
-                        a,
-                        d,
-                        c,
-                    )
-                })
-                .collect();
-            let wdp = Wdp::new(h, k, bids);
-            let lazy = AWinner::new().solve_wdp(&wdp);
-            let full = AWinner::new().with_full_scan().solve_wdp(&wdp);
-            match (lazy, full) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "trial {trial}: strategies diverged"),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("trial {trial}: feasibility diverged: {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]

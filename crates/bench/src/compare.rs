@@ -235,7 +235,7 @@ mod tests {
         Scenario {
             name: "unit_tiny",
             summary: "tiny auction for compare unit tests",
-            kind: ScenarioKind::Auction { threads: 1 },
+            kind: ScenarioKind::Auction,
             full: Scale {
                 clients: 14,
                 bids_per_client: 2,

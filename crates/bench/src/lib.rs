@@ -15,7 +15,6 @@
 //! | `ablation_*` | design-choice ablations (see DESIGN.md) |
 //!
 //! Each binary prints its table and writes `results/<name>.csv`.
-//! Criterion micro-benchmarks live in `benches/`.
 //!
 //! Performance is tracked by one orchestrator, `bench_suite` (the
 //! benchmark observatory): it runs the curated scenario set in

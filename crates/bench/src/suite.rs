@@ -11,11 +11,10 @@
 //! messages) plus economics must agree **bit-for-bit** — any divergence is
 //! a determinism bug and fails the run before anything is written.
 //!
-//! Parallel scenarios pin their worker-thread count explicitly (never
-//! `FL_THREADS` or auto-detection): the pruned-horizon set of `A_FL`
-//! depends on the wave width, so a machine-dependent thread count would
-//! make counters machine-dependent and break the cross-platform
-//! determinism gate.
+//! Sweep scenarios pin their worker-thread count explicitly (never
+//! `FL_THREADS` or auto-detection), so each record's `env.threads` says
+//! what ran. `A_FL` prunes sequentially whatever the strategy, so its
+//! pruned-horizon set and counters never depend on the machine.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -75,12 +74,8 @@ impl Scale {
 pub enum ScenarioKind {
     /// A single pre-qualified WDP solved by `A_winner` (Fig. 3 setting).
     Wdp,
-    /// The full `A_FL` enumeration with the given pinned worker count
-    /// (1 = sequential).
-    Auction {
-        /// Pinned sweep worker threads.
-        threads: usize,
-    },
+    /// The full `A_FL` enumeration (its pruned sweep is sequential).
+    Auction,
     /// The unpruned horizon sweep with the given pinned worker count.
     Sweep {
         /// Pinned sweep worker threads.
@@ -106,7 +101,7 @@ impl ScenarioKind {
     pub fn tag(self) -> &'static str {
         match self {
             ScenarioKind::Wdp => "wdp",
-            ScenarioKind::Auction { .. } => "auction",
+            ScenarioKind::Auction => "auction",
             ScenarioKind::Sweep { .. } => "sweep",
             ScenarioKind::Recovery => "recovery",
             ScenarioKind::Service => "service",
@@ -116,8 +111,9 @@ impl ScenarioKind {
 
     fn threads(self) -> usize {
         match self {
-            ScenarioKind::Auction { threads } | ScenarioKind::Sweep { threads } => threads,
+            ScenarioKind::Sweep { threads } => threads,
             ScenarioKind::Wdp
+            | ScenarioKind::Auction
             | ScenarioKind::Recovery
             | ScenarioKind::Service
             | ScenarioKind::OnlineIngest => 1,
@@ -175,7 +171,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "afl_fig5",
             summary: "full A_FL at the paper's Fig. 5 scale (sequential)",
-            kind: ScenarioKind::Auction { threads: 1 },
+            kind: ScenarioKind::Auction,
             full: Scale {
                 clients: 200,
                 bids_per_client: 4,
@@ -192,7 +188,7 @@ pub fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "afl_stress",
             summary: "full A_FL at stress scale (sequential)",
-            kind: ScenarioKind::Auction { threads: 1 },
+            kind: ScenarioKind::Auction,
             full: Scale {
                 clients: 400,
                 bids_per_client: 5,
@@ -390,8 +386,8 @@ fn execute(kind: ScenarioKind, scale: &Scale) -> Result<EconomicHealth, String> 
                 .map_err(|e| format!("A_winner failed: {e}"))?;
             Ok(EconomicHealth::of_solution(&solution))
         }
-        ScenarioKind::Auction { threads } => {
-            let inst = instance(scale, threads)?;
+        ScenarioKind::Auction => {
+            let inst = instance(scale, 1)?;
             let outcome = run_auction_with(&inst, &AWinner::new())
                 .map_err(|e| format!("A_FL failed: {e}"))?;
             Ok(EconomicHealth::of_outcome(&inst, &outcome))

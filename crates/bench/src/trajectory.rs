@@ -383,7 +383,7 @@ mod tests {
         let tiny = Scenario {
             name: "unit_report",
             summary: "tiny auction for report tests",
-            kind: ScenarioKind::Auction { threads: 1 },
+            kind: ScenarioKind::Auction,
             full: Scale {
                 clients: 12,
                 bids_per_client: 2,

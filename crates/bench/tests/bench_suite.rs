@@ -13,7 +13,7 @@ fn scenario() -> Scenario {
     Scenario {
         name: "acceptance",
         summary: "integration-test auction",
-        kind: ScenarioKind::Auction { threads: 1 },
+        kind: ScenarioKind::Auction,
         full: Scale {
             clients: 30,
             bids_per_client: 3,

@@ -15,9 +15,10 @@
 //!   [`fl_exact`]'s two provers, Myerson-threshold truthfulness probes,
 //!   loser monotonicity, payment identities, and all of `fl_auction`'s
 //!   ILP/IR/certificate verifiers.
-//! * [`oracle`] keeps the per-round reference versions of the checks
-//!   `fl_auction` runs in linear time (the `HashSet` feasibility check
-//!   and the certificate's `ω` rescan).
+//! * [`oracle`] keeps the reference versions of the work `fl_auction`
+//!   runs on faster structures: the per-round `HashSet` feasibility
+//!   check, the certificate's `ω` rescan, and the row-form full-scan
+//!   greedy that builds its own dual certificate.
 //! * [`replay`] certifies the `fl-flpd` journal-replay invariant: an
 //!   epoch recovered from the service's write-ahead journal must be
 //!   bit-identical to a fresh solve on the recorded bid set.

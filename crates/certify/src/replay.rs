@@ -126,7 +126,6 @@ fn journal_bytes(ci: &CertInstance) -> Vec<u8> {
         model: model.into(),
         param,
         qualify: qualify.into(),
-        threads: 1,
         budget: None,
     };
     let mut records = vec![Record::Open {

@@ -1,19 +1,23 @@
 //! Columnar-path equivalence over the certifier's shape families.
 //!
 //! The winner-determination hot path runs on the struct-of-arrays store of
-//! `fl_auction::columnar`; the row-form full scan is retained as the
-//! equivalence oracle. This suite drives both paths across every
-//! degenerate [`Shape`] family of the certifier generator — the instances
-//! that historically break greedy/payment code — and requires bit-identical
-//! solutions (winners, schedules, payments, certificates) and selection
-//! traces. It also property-tests the `ColumnarBids` round-trip on the
+//! `fl_auction::columnar`; its reference is the row-form full scan
+//! [`oracle::greedy`]. This suite drives both across every degenerate
+//! [`Shape`] family of the certifier generator — the instances that
+//! historically break greedy/payment code — plus seeded duplicate-price
+//! WDPs, under both schedule policies, and requires bit-identical
+//! feasibility verdicts, winners, schedules, payments, dual certificates
+//! and selection traces. It also property-tests the `ColumnarBids` round-trip on the
 //! same qualified bid sets, and holds the difference-array
 //! `Wdp::obviously_infeasible` to its per-round `HashSet` oracle on raw
 //! rows whose clients arrive interleaved.
 
 use fl_certify::{generate, oracle, Shape, SplitMix64};
 
-use fl_auction::{qualify, AWinner, ColumnarBids, QualifiedBid, Wdp};
+use fl_auction::{
+    qualify, AWinner, BidRef, ClientId, ColumnarBids, QualifiedBid, Round, SchedulePolicy, Wdp,
+    Window,
+};
 
 /// Enough seeds that every one of the 7 shape families appears many times
 /// (the shape is the first draw of the seeded generator).
@@ -37,28 +41,67 @@ fn for_each_wdp(mut f: impl FnMut(u64, &str, u32, &Wdp)) {
     }
 }
 
+/// 60 seeded WDPs (`T̂_g` 3–10, `K` 1–3, 6–25 rows, two bids per client)
+/// whose prices repeat on purpose, so the `(avg, price, bid_ref)`
+/// tie-break decides many selections.
+fn duplicate_price_wdps() -> Vec<Wdp> {
+    let mut state = 0x1357_9bdfu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..60)
+        .map(|_| {
+            let h = 3 + (next() % 8) as u32;
+            let k = 1 + (next() % 3) as u32;
+            let n = 6 + (next() % 20) as usize;
+            let bids = (0..n)
+                .map(|i| {
+                    let a = 1 + (next() % u64::from(h)) as u32;
+                    let d = a + (next() % u64::from(h - a + 1)) as u32;
+                    let c = 1 + (next() % u64::from(d - a + 1)) as u32;
+                    QualifiedBid {
+                        bid_ref: BidRef::new(ClientId((i / 2) as u32), (i % 2) as u32),
+                        price: (1 + next() % 12) as f64,
+                        accuracy: 0.5,
+                        window: Window::new(Round(a), Round(d)),
+                        rounds: c,
+                        round_time: 1.0,
+                    }
+                })
+                .collect();
+            Wdp::new(h, k, bids)
+        })
+        .collect()
+}
+
 #[test]
 fn columnar_greedy_is_bit_identical_to_full_scan_on_all_shape_families() {
+    let mut wdps = Vec::new();
     for_each_wdp(|seed, shape, horizon, wdp| {
-        let columnar = AWinner::new().solve_traced(wdp);
-        let oracle = AWinner::new().with_full_scan().solve_traced(wdp);
-        match (columnar, oracle) {
-            (Ok((sol_c, trace_c)), Ok((sol_o, trace_o))) => {
-                assert_eq!(
-                    sol_c, sol_o,
-                    "seed {seed} ({shape}) T̂_g={horizon}: solutions diverged"
-                );
-                assert_eq!(
-                    trace_c, trace_o,
-                    "seed {seed} ({shape}) T̂_g={horizon}: traces diverged"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed} ({shape}) T̂_g={horizon}"),
-            (a, b) => {
-                panic!("seed {seed} ({shape}) T̂_g={horizon}: feasibility diverged: {a:?} vs {b:?}")
-            }
-        }
+        wdps.push((format!("seed {seed} ({shape}) T̂_g={horizon}"), wdp.clone()));
     });
+    for (trial, wdp) in duplicate_price_wdps().into_iter().enumerate() {
+        wdps.push((format!("duplicate-price trial {trial}"), wdp));
+    }
+    for policy in [SchedulePolicy::LeastLoaded, SchedulePolicy::Earliest] {
+        let mut feasible = 0;
+        for (ctx, wdp) in &wdps {
+            let columnar = AWinner::new().with_policy(policy).solve_traced(wdp);
+            feasible += usize::from(columnar.is_ok());
+            assert_eq!(
+                columnar,
+                oracle::greedy(wdp, policy),
+                "{ctx} {policy:?}: columnar greedy diverged from the row-form oracle"
+            );
+        }
+        assert!(
+            feasible >= 100,
+            "only {feasible} feasible {policy:?} solves compared"
+        );
+    }
 }
 
 #[test]
@@ -105,14 +148,11 @@ fn columnar_bids_round_trip_on_adversarial_random_rows() {
             .map(|_| {
                 let a = rng.range(1, 10);
                 let d = rng.range(a, ROWS_HORIZON);
-                fl_auction::QualifiedBid {
-                    bid_ref: fl_auction::BidRef::new(
-                        fl_auction::ClientId(*rng.pick(&pool)),
-                        rng.range(0, 9),
-                    ),
+                QualifiedBid {
+                    bid_ref: BidRef::new(ClientId(*rng.pick(&pool)), rng.range(0, 9)),
                     price: rng.below(1 << 50) as f64 / 1024.0,
                     accuracy: rng.below(1000) as f64 / 1001.0,
-                    window: fl_auction::Window::new(fl_auction::Round(a), fl_auction::Round(d)),
+                    window: Window::new(Round(a), Round(d)),
                     rounds: rng.range(1, d - a + 1),
                     round_time: rng.below(1000) as f64,
                 }

@@ -471,6 +471,13 @@ impl ServerCore {
     }
 
     fn handle_open(&self, params: &OpenParams, trace: &str) -> Result<String, Failure> {
+        if params.t > wire::MAX_T {
+            return Err(ServiceError::new(
+                ErrCode::BadRequest,
+                format!("t = {} exceeds the limit {}", params.t, wire::MAX_T),
+            )
+            .into());
+        }
         let session = Session::create(params)?;
         let mut inner = lock(&self.inner);
         if let Some(existing) = inner.nonces.get(&params.nonce) {
@@ -1238,6 +1245,77 @@ mod tests {
             a.get("session").and_then(Json::as_str),
             c.get("session").and_then(Json::as_str)
         );
+    }
+
+    #[test]
+    fn open_refuses_a_horizon_above_the_limit() {
+        let dir = TempDir::new("core-max-t");
+        let core = core(&dir, Limits::default());
+        let huge = reply(
+            &core,
+            r#"{"op":"open","nonce":1,"t":4000000000,"k":2,"t_max":60}"#,
+        );
+        assert_eq!(huge.get("code").and_then(Json::as_str), Some("bad_request"));
+        let at_limit = reply(
+            &core,
+            &format!(
+                r#"{{"op":"open","nonce":2,"t":{},"k":2,"t_max":60}}"#,
+                wire::MAX_T
+            ),
+        );
+        assert!(ok(&at_limit), "{at_limit:?}");
+    }
+
+    /// An `open` request and journal record as older clients and daemons
+    /// wrote them, with a `"threads"` member: both parse, the journal
+    /// recovers, and retries replay the stored replies byte for byte.
+    #[test]
+    fn legacy_threads_member_parses_recovers_and_replays() {
+        let dir = TempDir::new("core-legacy-threads");
+        let path = dir.path().join("wal.jsonl");
+        let recover =
+            || ServerCore::recover(&path, Durability::Strict, None, Limits::default()).unwrap();
+        let text = |core: &ServerCore, req: &str| match core.handle(req) {
+            HandleResult::Reply(text) => text,
+            other => panic!("expected reply, got {other:?}"),
+        };
+        let requests = [
+            r#"{"op":"open","trace":"t-1","nonce":9,"t":6,"k":1,"t_max":60,"threads":4}"#,
+            r#"{"op":"client","trace":"t-2","session":"s-1","seq":1,"t_cmp":2,"t_com":5}"#,
+            r#"{"op":"bid","trace":"t-3","session":"s-1","seq":2,"client":0,"price":3,"theta":0.55,"a":1,"d":6,"c":6}"#,
+            r#"{"op":"close","trace":"t-4","session":"s-1","seq":3}"#,
+        ];
+        let replies: Vec<String> = {
+            let (core, _) = recover();
+            requests.iter().map(|r| text(&core, r)).collect()
+        };
+        assert!(
+            replies[3].contains(r#""status":"committed""#),
+            "{}",
+            replies[3]
+        );
+
+        // Rewrite the open record as older daemons wrote it; re-encoding
+        // the parsed record drops the member again.
+        let bytes = std::fs::read(&path).unwrap();
+        let mut legacy = Vec::new();
+        for rec in crate::journal::scan_bytes(&bytes).records {
+            let mut line = rec.to_json();
+            if let Record::Open { .. } = rec {
+                line = line.replace(r#""qualify":"intent""#, r#""qualify":"intent","threads":4"#);
+                assert!(line.contains(r#""threads":4"#), "{line}");
+                assert_eq!(Record::from_json(&line).unwrap().to_json(), rec.to_json());
+            }
+            fl_telemetry::frame::write_frame(&mut legacy, &line).unwrap();
+        }
+        std::fs::write(&path, legacy).unwrap();
+
+        let (core, report) = recover();
+        assert_eq!((report.sessions, report.anomalies), (1, 0));
+        assert_eq!(text(&core, requests[0]), replies[0]);
+        assert_eq!(text(&core, requests[3]), replies[3]);
+        let (_, req) = wire::parse_request(requests[0]).unwrap();
+        assert!(!wire::request_to_json(1, &req).contains("threads"));
     }
 
     #[test]

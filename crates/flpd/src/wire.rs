@@ -34,6 +34,16 @@
 //! one; failures add `"code"`, `"retryable"` and `"detail"` from the
 //! [`crate::error`] taxonomy.
 //!
+//! An `open` whose `"t"` exceeds [`MAX_T`] is refused with `bad_request`:
+//! a batch close visits every horizon up to `T` and a streaming session
+//! sizes its coverage by `T`. The limit is checked when a session is
+//! opened, not when the journal is replayed, so sessions recorded before
+//! it existed still recover.
+//!
+//! Members the daemon does not know are ignored. Older clients and
+//! journals carry a `"threads"` member in `open`; it is read past and
+//! never written back.
+//!
 //! Requests may additionally carry a `"trace"` string — an end-to-end
 //! trace id the daemon echoes on the response, stamps on its journal
 //! records and flight-recorder events, and invents (`srv-<n>`) when the
@@ -41,13 +51,14 @@
 //! (merged live-metrics snapshot), `health` (cheap liveness probe) and
 //! `flight` (flight-recorder dump).
 
-use fl_auction::{AuctionConfig, LocalIterationModel, QualifyMode, SweepStrategy};
+use fl_auction::{AuctionConfig, LocalIterationModel, QualifyMode};
 use fl_telemetry::json::{self, Json};
 
 use crate::error::{ErrCode, ServiceError};
 
-/// Default horizon-sweep thread count for sessions that do not ask.
-pub const DEFAULT_THREADS: usize = 1;
+/// The largest horizon `T` an `open` may ask for. Every `t` the
+/// repository's clients send is at most 16.
+pub const MAX_T: u32 = 4_096;
 
 /// Parameters of an `open` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,8 +78,6 @@ pub struct OpenParams {
     pub param: f64,
     /// Qualification mode: `"intent"` or `"literal"`.
     pub qualify: String,
-    /// Horizon-sweep worker threads for this session's closes.
-    pub threads: usize,
     /// Streaming-mode remuneration budget `B`: `Some` opens an online
     /// session whose bids arrive via `submit` and are decided on arrival
     /// under this budget; `None` (the default) opens a batch session.
@@ -77,7 +86,7 @@ pub struct OpenParams {
 
 impl OpenParams {
     /// A small default configuration (linear model, intent
-    /// qualification, single-threaded sweep).
+    /// qualification, batch mode).
     pub fn new(nonce: u64, t: u32, k: u32, t_max: f64) -> OpenParams {
         OpenParams {
             nonce,
@@ -87,7 +96,6 @@ impl OpenParams {
             model: "linear".into(),
             param: 1.0,
             qualify: "intent".into(),
-            threads: DEFAULT_THREADS,
             budget: None,
         }
     }
@@ -133,7 +141,6 @@ impl OpenParams {
             .round_time_limit(self.t_max)
             .local_model(model)
             .qualify_mode(qualify)
-            .sweep_strategy(SweepStrategy::with_threads(self.threads.max(1)))
             .build()
             .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))
     }
@@ -149,7 +156,6 @@ impl OpenParams {
             ("model".into(), json::string(&self.model)),
             ("param".into(), json::number(self.param)),
             ("qualify".into(), json::string(&self.qualify)),
-            ("threads".into(), self.threads.to_string()),
         ];
         if let Some(budget) = self.budget {
             members.push(("budget".into(), json::number(budget)));
@@ -171,7 +177,6 @@ impl OpenParams {
             model: opt_str(doc, "model").unwrap_or("linear").to_string(),
             param: opt_f64(doc, "param")?.unwrap_or(1.0),
             qualify: opt_str(doc, "qualify").unwrap_or("intent").to_string(),
-            threads: opt_u64(doc, "threads")?.unwrap_or(DEFAULT_THREADS as u64) as usize,
             budget: opt_f64(doc, "budget")?,
         })
     }
@@ -320,16 +325,6 @@ fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, String> {
             .as_f64()
             .map(Some)
             .ok_or_else(|| format!("{key:?} not a number")),
-    }
-}
-
-fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("{key:?} not an unsigned integer")),
     }
 }
 
@@ -614,7 +609,6 @@ mod tests {
             Request::Open(p) => {
                 assert_eq!(p.model, "linear");
                 assert_eq!(p.qualify, "intent");
-                assert_eq!(p.threads, DEFAULT_THREADS);
                 assert_eq!(p.budget, None, "no budget member means batch mode");
                 p.to_config().unwrap();
             }

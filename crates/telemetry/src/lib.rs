@@ -1,9 +1,9 @@
 //! `fl-telemetry` — structured tracing, metrics and per-phase profiling for
 //! the `A_FL` auction → simulator → bench pipeline.
 //!
-//! Like `rand`/`proptest`/`criterion` in this workspace, the crate is a
-//! vendored zero-dependency stand-in (the build has no registry access) for
-//! the instrumentation stack a production deployment would use. It provides
+//! Like `rand`/`proptest` in this workspace, the crate is a vendored
+//! zero-dependency stand-in (the build has no registry access) for the
+//! instrumentation stack a production deployment would use. It provides
 //! three primitives and three sinks:
 //!
 //! * **Spans** — hierarchical wall-clock-timed regions. [`span!`] returns a
