@@ -608,7 +608,7 @@ fn service_pass(scale: &Scale) -> Result<EconomicHealth, String> {
         fl_telemetry::counter!("service.sessions");
     }
     // The daemon's own view of the run: per-command quantiles from its
-    // sharded live-metrics plane, committed to the record as
+    // live-metrics plane, committed to the record as
     // `service.srv.*` phases. `calls` is the *client-side logical* op
     // count — deterministic, unlike the server's sample count, which
     // grows with retries — while the timing columns are the server's

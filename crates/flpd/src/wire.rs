@@ -47,9 +47,14 @@
 //! Requests may additionally carry a `"trace"` string — an end-to-end
 //! trace id the daemon echoes on the response, stamps on its journal
 //! records and flight-recorder events, and invents (`srv-<n>`) when the
-//! client sent none. The admin plane adds three read-only ops: `stats`
-//! (merged live-metrics snapshot), `health` (cheap liveness probe) and
-//! `flight` (flight-recorder dump).
+//! client sent none. A trace id longer than [`MAX_TRACE`] bytes is
+//! refused with `bad_request`: the daemon copies the id into the reply,
+//! two flight events and the journal. Like [`MAX_T`], the limit is
+//! checked on requests only, not on journal replay.
+//!
+//! The admin plane adds three read-only ops: `stats` (merged
+//! live-metrics snapshot), `health` (cheap liveness probe) and `flight`
+//! (flight-recorder dump).
 
 use fl_auction::{AuctionConfig, LocalIterationModel, QualifyMode};
 use fl_telemetry::json::{self, Json};
@@ -59,6 +64,10 @@ use crate::error::{ErrCode, ServiceError};
 /// The largest horizon `T` an `open` may ask for. Every `t` the
 /// repository's clients send is at most 16.
 pub const MAX_T: u32 = 4_096;
+
+/// The longest `"trace"` id a request may carry, in bytes. The client's
+/// `cli-<seed>-<n>` ids are at most 45 bytes.
+pub const MAX_TRACE: usize = 128;
 
 /// Parameters of an `open` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,9 +346,13 @@ fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, String> {
 pub fn parse_request(text: &str) -> Result<(ReqMeta, Request), ServiceError> {
     let bad = |why: String| ServiceError::new(ErrCode::BadRequest, why);
     let doc = json::parse(text).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+    let trace = opt_str(&doc, "trace");
+    if trace.is_some_and(|t| t.len() > MAX_TRACE) {
+        return Err(bad(format!("trace id longer than {MAX_TRACE} bytes")));
+    }
     let meta = ReqMeta {
         id: doc.get("id").and_then(Json::as_u64),
-        trace: opt_str(&doc, "trace").map(str::to_string),
+        trace: trace.map(str::to_string),
     };
     let op = get_str(&doc, "op").map_err(bad)?;
     let req = match op {
@@ -600,6 +613,17 @@ mod tests {
             with_meta(r#"{"ok":true}"#, &meta),
             with_id(r#"{"ok":true}"#, Some(4))
         );
+    }
+
+    #[test]
+    fn trace_ids_past_the_limit_are_bad_request() {
+        let at_limit = "t".repeat(MAX_TRACE);
+        let (meta, _) = parse_request(&request_with_trace(1, Some(&at_limit), &Request::Ping))
+            .expect("a trace id at the limit parses");
+        assert_eq!(meta.trace.as_deref(), Some(at_limit.as_str()));
+        let over = "t".repeat(MAX_TRACE + 1);
+        let err = parse_request(&request_with_trace(1, Some(&over), &Request::Ping)).unwrap_err();
+        assert_eq!(err.code, ErrCode::BadRequest);
     }
 
     #[test]

@@ -10,9 +10,9 @@ use std::time::Duration;
 use fl_flpd::daemon::{DaemonConfig, SHED_STORM_THRESHOLD};
 use fl_flpd::wire::{self, BidParams, OpenParams, Request};
 use fl_flpd::{Client, ClientConfig, Daemon, ErrCode, FaultPlan, Limits};
-use fl_telemetry::flight::events_from_json;
-use fl_telemetry::frame;
+use fl_telemetry::flight::{events_from_json, DEFAULT_RING_CAP};
 use fl_telemetry::json::{self, Json};
+use fl_telemetry::{frame, STRIPES};
 
 fn scratch(tag: &str) -> fl_flpd::testutil::TempDir {
     fl_flpd::testutil::TempDir::new(tag)
@@ -334,7 +334,7 @@ fn flight_ring_wrap_keeps_dumps_bounded_and_ordered() {
     let daemon = Daemon::start(DaemonConfig::new(dir.path().join("wal.jsonl"))).unwrap();
     let (mut stream, mut reader) = raw_conn(daemon.addr());
     // Each ping records a req and a resp event: 800 pings is well past
-    // the 1024-event per-thread ring.
+    // the 1024-event ring of this connection's stripe.
     for i in 0..800u64 {
         let doc = raw_call(
             &mut stream,
@@ -361,4 +361,38 @@ fn flight_ring_wrap_keeps_dumps_bounded_and_ordered() {
     // The oldest events were overwritten: the dump no longer starts at
     // the beginning of history.
     assert!(events.first().map_or(0, |e| e.seq) > 1);
+}
+
+/// Lifetime traffic cannot grow the live plane. The daemon serves each
+/// connection on a thread of its own, and each ping leaves two flight
+/// events, so this many one-ping connections would overflow one ring per
+/// stripe if every thread kept a ring. The dump stays within
+/// `STRIPES × DEFAULT_RING_CAP`, the ping histogram still counts every
+/// ping, and the retrying client can fetch the dump.
+#[test]
+fn live_plane_stays_bounded_across_thousands_of_connections() {
+    let dir = scratch("obs-conns");
+    let daemon = Daemon::start(DaemonConfig::new(dir.path().join("wal.jsonl"))).unwrap();
+    let conns = STRIPES * DEFAULT_RING_CAP / 2 + 4;
+    for i in 0..conns as u64 {
+        let doc = one_shot(daemon.addr(), &wire::request_to_json(i, &Request::Ping));
+        assert!(wire::error_from_value(&doc).is_none(), "{doc:?}");
+    }
+    let mut client = Client::new(daemon.addr(), ClientConfig::default());
+    let flight = client.flight().expect("the flight dump fits one reply");
+    let events = events_from_json(flight.get("flight").unwrap()).expect("dump parses");
+    assert!(
+        events.len() <= STRIPES * DEFAULT_RING_CAP,
+        "{} events after {conns} connections",
+        events.len()
+    );
+    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    let stats = client.stats_doc().unwrap();
+    let pings = stats
+        .get("live")
+        .and_then(|l| l.get("hists"))
+        .and_then(|h| h.get("service.cmd.ping_ms"))
+        .and_then(|p| p.get("n"))
+        .and_then(Json::as_u64);
+    assert_eq!(pings, Some(conns as u64));
 }

@@ -5,9 +5,10 @@
 //! overwrite-oldest recorder preserves. The design mirrors
 //! [`LiveMetrics`](crate::LiveMetrics):
 //!
-//! * Each recording thread owns a **ring** of [`FlightEvent`]s; recording
-//!   locks only that ring, so the hot path never contends and never
-//!   allocates beyond the event strings themselves.
+//! * The recorder holds one **ring** of [`FlightEvent`]s per lock stripe
+//!   ([`STRIPES`] of them). A thread records into the ring of the stripe
+//!   it was dealt on first use; event strings are built before the lock
+//!   is taken and an evicted event is dropped after it is released.
 //! * Every event takes a **process-global sequence number** at record
 //!   time, so draining all rings and sorting by `seq` yields one causally
 //!   ordered dump: if event A happened-before event B on any thread (or
@@ -15,33 +16,27 @@
 //!   smaller. Per-trace order is a projection of that total order.
 //! * Rings **overwrite their oldest entry** once full — recording can
 //!   never fail, block on capacity, or panic, no matter how long the
-//!   service runs or where a wrap lands relative to an open span.
+//!   service runs, how many threads record, or where a wrap lands
+//!   relative to an open span.
 //!
 //! Events are wall-clock stamped: `at_ms` is milliseconds since the
 //! recorder's construction, and the dump header carries the construction
 //! time as Unix milliseconds, so offline readers can reconstruct absolute
 //! times without every event paying for a `SystemTime` call.
 
-use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::{self, Json};
+use crate::STRIPES;
 
-/// Default per-thread ring capacity (events retained per thread).
+/// Default ring capacity: events retained per stripe.
 pub const DEFAULT_RING_CAP: usize = 1024;
-
-/// Source of recorder ids for thread-local registration (never reused).
-static NEXT_FLIGHT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Process-global event sequence: the causal total order of the dump.
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's ring handle per flight-recorder id.
-    static MY_RINGS: RefCell<Vec<(u64, Weak<Ring>)>> = const { RefCell::new(Vec::new()) };
-}
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,37 +54,20 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
-struct RingData {
+/// One stripe's ring.
+#[derive(Default)]
+struct Ring {
     buf: Vec<FlightEvent>,
     /// Overwrite cursor once `buf` reaches capacity.
     next: usize,
-}
-
-struct Ring {
-    cap: usize,
-    data: Mutex<RingData>,
-}
-
-impl Ring {
-    fn record(&self, event: FlightEvent) {
-        let mut data = self.data.lock().unwrap_or_else(|e| e.into_inner());
-        if data.buf.len() < self.cap {
-            data.buf.push(event);
-        } else {
-            let next = data.next;
-            data.buf[next] = event;
-            data.next = (next + 1) % self.cap;
-        }
-    }
 }
 
 /// A bounded, always-on recorder of recent events (see the
 /// [module docs](self)). Cheaply shareable via `Arc`; all methods take
 /// `&self`.
 pub struct FlightRecorder {
-    id: u64,
     cap: usize,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    rings: [Mutex<Ring>; STRIPES],
     epoch: Instant,
     base_unix_ms: u64,
 }
@@ -101,18 +79,17 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder with the [`DEFAULT_RING_CAP`] per-thread ring.
+    /// Creates a recorder with [`DEFAULT_RING_CAP`]-event rings.
     pub fn new() -> FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Creates a recorder retaining up to `cap` events per thread
-    /// (`cap` is clamped to at least 1).
+    /// Creates a recorder retaining up to `cap` events per stripe, so at
+    /// most `cap × STRIPES` in all (`cap` is clamped to at least 1).
     pub fn with_capacity(cap: usize) -> FlightRecorder {
         FlightRecorder {
-            id: NEXT_FLIGHT_ID.fetch_add(1, Ordering::Relaxed),
             cap: cap.max(1),
-            rings: Mutex::new(Vec::new()),
+            rings: Default::default(),
             epoch: Instant::now(),
             base_unix_ms: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -121,40 +98,32 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one event on the calling thread's ring (registering the
-    /// ring on first use). Never blocks on other recording threads, never
-    /// fails: a full ring overwrites its oldest entry.
+    /// Records one event on the calling thread's ring. Never fails: a
+    /// full ring overwrites its oldest entry.
     pub fn record(&self, trace: &str, kind: &str, detail: &str) {
-        let event = FlightEvent {
-            seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
+        let mut event = FlightEvent {
+            seq: 0,
             at_ms: self.epoch.elapsed().as_secs_f64() * 1e3,
             trace: trace.to_string(),
             kind: kind.to_string(),
             detail: detail.to_string(),
         };
-        MY_RINGS.with(|cell| {
-            let mut mine = cell.borrow_mut();
-            if let Some((_, weak)) = mine.iter().find(|(id, _)| *id == self.id) {
-                if let Some(ring) = weak.upgrade() {
-                    ring.record(event);
-                    return;
-                }
+        // An evicted event leaves the block and is dropped after the lock
+        // is released.
+        let _evicted = {
+            let mut ring = crate::lock(&self.rings[crate::stripe()]);
+            // Numbered under the lock, so each ring is in `seq` order and
+            // a wrap always evicts the ring's lowest `seq`.
+            event.seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
+            if ring.buf.len() < self.cap {
+                ring.buf.push(event);
+                None
+            } else {
+                let next = ring.next;
+                ring.next = (next + 1) % self.cap;
+                Some(std::mem::replace(&mut ring.buf[next], event))
             }
-            mine.retain(|(_, weak)| weak.strong_count() != 0);
-            let ring = Arc::new(Ring {
-                cap: self.cap,
-                data: Mutex::new(RingData {
-                    buf: Vec::new(),
-                    next: 0,
-                }),
-            });
-            self.rings
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(ring.clone());
-            mine.push((self.id, Arc::downgrade(&ring)));
-            ring.record(event);
-        });
+        };
     }
 
     /// Drains a copy of every ring into one dump sorted by sequence
@@ -162,36 +131,34 @@ impl FlightRecorder {
     /// within each trace id). Rings keep their contents; a dump is a
     /// read-only snapshot.
     pub fn dump(&self) -> Vec<FlightEvent> {
-        let rings: Vec<Arc<Ring>> = self.rings.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let mut events: Vec<FlightEvent> = Vec::new();
-        for ring in rings {
-            let data = ring.data.lock().unwrap_or_else(|e| e.into_inner());
-            events.extend(data.buf.iter().cloned());
+        for ring in &self.rings {
+            events.extend(crate::lock(ring).buf.iter().cloned());
         }
         events.sort_by_key(|e| e.seq);
         events
     }
 
     /// Encodes [`dump`](Self::dump) as one JSON document:
-    /// `{"base_unix_ms":…,"events":[{seq,at_ms,trace,kind,detail},…]}`.
+    /// `{"base_unix_ms":…,"events":[{seq,at_ms,trace,kind,detail},…]}`,
+    /// written straight into one buffer: a full dump holds
+    /// `cap × STRIPES` events.
     pub fn dump_json(&self) -> String {
-        let events: Vec<String> = self
-            .dump()
-            .iter()
-            .map(|e| {
-                json::object(&[
-                    ("seq".into(), e.seq.to_string()),
-                    ("at_ms".into(), json::number(e.at_ms)),
-                    ("trace".into(), json::string(&e.trace)),
-                    ("kind".into(), json::string(&e.kind)),
-                    ("detail".into(), json::string(&e.detail)),
-                ])
-            })
-            .collect();
-        json::object(&[
-            ("base_unix_ms".into(), self.base_unix_ms.to_string()),
-            ("events".into(), json::array(&events)),
-        ])
+        let mut out = format!("{{\"base_unix_ms\":{},\"events\":[", self.base_unix_ms);
+        for (i, e) in self.dump().iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}{{\"seq\":{},\"at_ms\":{},\"trace\":{},\"kind\":{},\"detail\":{}}}",
+                if i == 0 { "" } else { "," },
+                e.seq,
+                json::number(e.at_ms),
+                json::string(&e.trace),
+                json::string(&e.kind),
+                json::string(&e.detail),
+            );
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -211,26 +178,15 @@ pub fn events_from_json(doc: &Json) -> Result<Vec<FlightEvent>, String> {
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let field = |k: &str| e.get(k).ok_or(format!("event {i}: missing {k}"));
+            let field = |k: &str| e.get(k).ok_or_else(|| format!("event {i}: missing {k}"));
+            let bad = |k: &str| format!("event {i}: bad {k}");
+            let text = |k: &str| field(k)?.as_str().map(str::to_string).ok_or_else(|| bad(k));
             Ok(FlightEvent {
-                seq: field("seq")?
-                    .as_u64()
-                    .ok_or(format!("event {i}: bad seq"))?,
-                at_ms: field("at_ms")?
-                    .as_f64()
-                    .ok_or(format!("event {i}: bad at_ms"))?,
-                trace: field("trace")?
-                    .as_str()
-                    .ok_or(format!("event {i}: bad trace"))?
-                    .to_string(),
-                kind: field("kind")?
-                    .as_str()
-                    .ok_or(format!("event {i}: bad kind"))?
-                    .to_string(),
-                detail: field("detail")?
-                    .as_str()
-                    .ok_or(format!("event {i}: bad detail"))?
-                    .to_string(),
+                seq: field("seq")?.as_u64().ok_or_else(|| bad("seq"))?,
+                at_ms: field("at_ms")?.as_f64().ok_or_else(|| bad("at_ms"))?,
+                trace: text("trace")?,
+                kind: text("kind")?,
+                detail: text("detail")?,
             })
         })
         .collect()
@@ -239,6 +195,7 @@ pub fn events_from_json(doc: &Json) -> Result<Vec<FlightEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -292,12 +249,40 @@ mod tests {
             h.join().unwrap();
         }
         let dump = rec.dump();
-        assert_eq!(dump.len(), 32); // 4 rings × capacity 8
+        // Four threads fill between one and four rings of capacity 8.
+        assert!((8..=32).contains(&dump.len()), "{} events", dump.len());
         assert!(dump.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
+    /// However many threads have recorded, the dump holds at most one
+    /// full ring per stripe, still in `seq` order.
     #[test]
-    fn dead_thread_rings_survive() {
+    fn dump_is_bounded_by_the_stripe_count() {
+        let rec = Arc::new(FlightRecorder::with_capacity(4));
+        for t in 0..2 * STRIPES {
+            let rec = rec.clone();
+            thread::spawn(move || {
+                for i in 0..4 {
+                    rec.record(&format!("t{t}"), "tick", &i.to_string());
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let dump = rec.dump();
+        assert!(
+            (4..=4 * STRIPES).contains(&dump.len()),
+            "{} events",
+            dump.len()
+        );
+        assert!(dump.windows(2).all(|w| w[0].seq < w[1].seq));
+        // The last thread's events are the newest of all: never evicted.
+        let last = format!("t{}", 2 * STRIPES - 1);
+        assert_eq!(dump.iter().filter(|e| e.trace == last).count(), 4);
+    }
+
+    #[test]
+    fn dead_thread_events_survive() {
         let rec = Arc::new(FlightRecorder::new());
         let r2 = rec.clone();
         thread::spawn(move || r2.record("t", "req", "from the beyond"))

@@ -1,4 +1,4 @@
-//! Minimal JSON encoding (and a validating parser for tests/CI checks).
+//! Minimal JSON encoding and the matching reader.
 //!
 //! The workspace has no registry access, so instead of `serde_json` the
 //! exporters build JSON through these helpers. The encoder is
@@ -6,13 +6,15 @@
 //! as `null`), booleans, and the object/array glue the sinks need. The
 //! [`parse`] function is the matching reader: it produces a [`Json`] value
 //! tree (object member order preserved) so the bench suite can load
-//! records from `BENCH_history.jsonl` back without a JSON library.
+//! records from `BENCH_history.jsonl` back without a JSON library. It runs
+//! in time linear in the document; [`validate`] is the same reader with
+//! the tree discarded.
 
 use std::fmt::Write as _;
 
 /// Maximum container nesting depth accepted by [`parse`] and [`validate`].
 ///
-/// The readers are recursive, so without a cap an adversarial document of
+/// The reader is recursive, so without a cap an adversarial document of
 /// a few hundred kilobytes of `[` would overflow the stack — an abort, not
 /// a catchable panic. 96 levels is far beyond anything the workspace
 /// emits (bench records nest 3 deep) while keeping worst-case stack use
@@ -85,14 +87,7 @@ pub fn array(values: &[String]) -> String {
 /// surrounding whitespace). Used by tests and the CI smoke check to assert
 /// exporter output parses without shipping a JSON library.
 pub fn validate(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    pos = parse_value(bytes, pos, MAX_DEPTH)?;
-    pos = skip_ws(bytes, pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(text).map(|_| ())
 }
 
 /// A parsed JSON value.
@@ -221,10 +216,19 @@ fn read_value(b: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), Strin
 
 fn read_string(b: &[u8], mut pos: usize) -> Result<(String, usize), String> {
     let mut out = String::new();
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok((out, pos + 1)),
-            b'\\' => {
+    loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one slice: it ends on an ASCII byte, so on a char boundary.
+        let end = b[pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(b.len(), |n| pos + n);
+        out.push_str(std::str::from_utf8(&b[pos..end]).map_err(|_| "non-utf8 string")?);
+        pos = end;
+        match b.get(pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => return Ok((out, pos + 1)),
+            Some(b'\\') => {
                 match b.get(pos + 1) {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -235,10 +239,14 @@ fn read_string(b: &[u8], mut pos: usize) -> Result<(String, usize), String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b.get(pos + 2..pos + 6).ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a leading `+`.
+                        let code = b
+                            .get(pos + 2..pos + 6)
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                         // Surrogates are not emitted by our encoder; map
                         // them to U+FFFD rather than erroring.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -249,18 +257,9 @@ fn read_string(b: &[u8], mut pos: usize) -> Result<(String, usize), String> {
                 }
                 pos += 2;
             }
-            0x00..=0x1f => return Err(format!("raw control byte {c:#x} in string at {pos}")),
-            _ => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing on
-                // char boundaries is safe via the char iterator).
-                let rest = std::str::from_utf8(&b[pos..]).map_err(|_| "non-utf8 string")?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                pos += ch.len_utf8();
-            }
+            Some(c) => return Err(format!("raw control byte {c:#x} in string at {pos}")),
         }
     }
-    Err("unterminated string".into())
 }
 
 fn read_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
@@ -317,53 +316,12 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
-    match b.get(pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{' | b'[') if depth == 0 => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
-        }
-        Some(b'{') => parse_object(b, pos + 1, depth - 1),
-        Some(b'[') => parse_array(b, pos + 1, depth - 1),
-        Some(b'"') => parse_string(b, pos + 1),
-        Some(b't') => parse_literal(b, pos, "true"),
-        Some(b'f') => parse_literal(b, pos, "false"),
-        Some(b'n') => parse_literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos}")),
-    }
-}
-
 fn parse_literal(b: &[u8], pos: usize, lit: &str) -> Result<usize, String> {
     if b[pos..].starts_with(lit.as_bytes()) {
         Ok(pos + lit.len())
     } else {
         Err(format!("invalid literal at byte {pos}"))
     }
-}
-
-fn parse_string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => {
-                match b.get(pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                    Some(b'u') => {
-                        let hex = b.get(pos + 2..pos + 6).ok_or("truncated \\u escape")?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        pos += 6;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                };
-            }
-            0x00..=0x1f => return Err(format!("raw control byte {c:#x} in string at {pos}")),
-            _ => pos += 1,
-        }
-    }
-    Err("unterminated string".into())
 }
 
 fn parse_number(b: &[u8], mut pos: usize) -> Result<usize, String> {
@@ -401,49 +359,6 @@ fn parse_number(b: &[u8], mut pos: usize) -> Result<usize, String> {
         pos = after_exp;
     }
     Ok(pos)
-}
-
-fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        pos = parse_string(b, pos + 1)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = parse_value(b, pos, depth)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos);
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = skip_ws(b, pos);
-        pos = parse_value(b, pos, depth)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -47,11 +47,15 @@
 //! standalone primitives (not sinks — they never touch the dispatch path
 //! or a recorder's determinism) cover that:
 //!
-//! * [`LiveMetrics`] — per-thread shards of counters/gauges/windowed
-//!   histograms, contention-free recording, on-demand [`merge`]d
-//!   snapshots with the same nearest-rank quantiles.
-//! * [`FlightRecorder`] — fixed-capacity per-thread rings of recent
-//!   events, drained into one causally-ordered, wall-clock-stamped dump.
+//! * [`LiveMetrics`] — counters and windowed histograms, with on-demand
+//!   [`merge`]d snapshots that use the same nearest-rank quantiles.
+//! * [`FlightRecorder`] — fixed-capacity rings of recent events, drained
+//!   into one causally-ordered, wall-clock-stamped dump.
+//!
+//! Both keep their state in [`STRIPES`] lock stripes. A thread records
+//! into the stripe it was dealt on first use, so concurrent threads mostly
+//! take different locks, and every cap is per stripe: memory is bounded
+//! by the stripe count, not by how many threads ever recorded.
 //!
 //! [`merge`]: LiveMetrics::merge
 //!
@@ -104,6 +108,31 @@ pub use live::{LiveHist, LiveMetrics, LiveSnapshot};
 pub use logger::EnvLogger;
 pub use quantile::HistSummary;
 pub use recorder::{PhaseStat, Recorder, Snapshot, SpanNode};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock stripes per [`LiveMetrics`] and per [`FlightRecorder`]. Their
+/// retention caps apply per stripe, so this factor bounds either one's
+/// memory whatever the number of recording threads.
+pub const STRIPES: usize = 8;
+
+/// The calling thread's stripe in `0..STRIPES`: dealt round-robin across
+/// the process on the thread's first record, then fixed for its life.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    MINE.with(|s| *s)
+}
+
+/// Locks one stripe, riding through poisoning: recording must keep
+/// working even if some thread panicked mid-update, and every update
+/// leaves a stripe valid at each step.
+fn lock<T>(stripe: &Mutex<T>) -> MutexGuard<'_, T> {
+    stripe.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Opens a timed span: `span!("name")` or `span!("name", key = value, …)`.
 ///

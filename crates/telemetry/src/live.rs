@@ -1,4 +1,4 @@
-//! Sharded live metrics: contention-free recording for long-lived services.
+//! Live metrics: bounded, concurrent recording for long-lived services.
 //!
 //! The [`Recorder`](crate::Recorder) sink is built for deterministic
 //! after-the-fact profiling — every event funnels through one thread's
@@ -6,54 +6,33 @@
 //! connection threads record concurrently for hours. [`LiveMetrics`] is the
 //! service-side counterpart:
 //!
-//! * Every recording thread lazily registers **its own shard** (a
-//!   `Mutex<ShardData>` nothing else locks on the hot path), so recording
-//!   is contention-free by construction — the only cross-thread locking is
-//!   a one-time registry push per `(thread, aggregator)` pair and the
-//!   on-demand [`merge`](LiveMetrics::merge).
-//! * Counters are monotone sums, gauges are last-write-wins (ordered by a
-//!   process-global stamp so "last" is well defined across shards), and
-//!   histograms keep a **bounded window** of recent samples (plus a
-//!   lifetime count) so a daemon's memory never grows with uptime.
-//! * [`merge`](LiveMetrics::merge) concatenates the shard windows and
+//! * State lives in a fixed array of [`STRIPES`] lock stripes. Each thread
+//!   records into the stripe it was dealt on first use (round-robin across
+//!   the process), so concurrent threads mostly take different locks, and
+//!   a thread that has exited leaves its metrics in every later merge.
+//! * Counters are monotone sums, and histograms keep a **bounded window**
+//!   of recent samples per stripe (plus a lifetime count), so a daemon's
+//!   memory grows neither with uptime nor with connections served.
+//! * [`merge`](LiveMetrics::merge) concatenates the stripe windows and
 //!   summarises with the same nearest-rank quantile machinery
 //!   ([`HistSummary::of`]) the deterministic recorder uses, so p50/p90/p99
 //!   mean the same thing in `stats` output as in bench records.
-//!
-//! Shards are owned by the aggregator (the thread-local handle is a
-//! [`Weak`]), so metrics recorded by a thread that has since exited are
-//! still visible in every later merge.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json;
 use crate::HistSummary;
+use crate::STRIPES;
 
-/// Samples retained per histogram *per shard*. Old samples are overwritten
-/// ring-style; quantiles in a merged snapshot therefore describe the most
-/// recent ≈`WINDOW_CAP × shards` observations, while `n` keeps the exact
-/// lifetime count.
+/// Samples retained per histogram *per stripe*. Old samples are
+/// overwritten ring-style; quantiles in a merged snapshot therefore
+/// describe at most the `WINDOW_CAP × STRIPES` most recent observations,
+/// while `n` keeps the exact lifetime count.
 pub const WINDOW_CAP: usize = 4096;
 
-/// Source of aggregator ids (thread-local registration keys) — never
-/// reused within a process, so a dropped aggregator's stale thread-local
-/// entries can never alias a new one.
-static NEXT_LIVE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Process-global gauge write stamp: the merge picks the shard value with
-/// the highest stamp, making "last write wins" coherent across threads.
-static GAUGE_STAMP: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's shard handle per live aggregator id.
-    static MY_SHARDS: RefCell<Vec<(u64, Weak<Shard>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One histogram inside a shard: a bounded ring of recent samples plus the
-/// exact lifetime observation count.
+/// One histogram inside a stripe: a bounded ring of recent samples plus
+/// the exact lifetime observation count.
 #[derive(Default)]
 struct HistWindow {
     total: u64,
@@ -74,44 +53,20 @@ impl HistWindow {
     }
 }
 
-/// The per-thread slice of the aggregate. Only its owning thread records
-/// into it; merges briefly lock it to copy the data out.
+/// One stripe of the aggregate.
 #[derive(Default)]
-struct ShardData {
+struct Stripe {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, (u64, f64)>,
     hists: BTreeMap<String, HistWindow>,
 }
 
-#[derive(Default)]
-struct Shard {
-    data: Mutex<ShardData>,
-}
-
-impl Shard {
-    /// Locks the shard, riding through poisoning: metrics must keep
-    /// working even if some recording thread panicked mid-update.
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardData> {
-        self.data.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A sharded counters/gauges/histograms aggregator for concurrent
+/// A lock-striped counters/histograms aggregator for concurrent
 /// recording (see the module docs above).
 ///
 /// Cheaply shareable via `Arc`; all recording methods take `&self`.
+#[derive(Default)]
 pub struct LiveMetrics {
-    id: u64,
-    shards: Mutex<Vec<Arc<Shard>>>,
-}
-
-impl Default for LiveMetrics {
-    fn default() -> Self {
-        LiveMetrics {
-            id: NEXT_LIVE_ID.fetch_add(1, Ordering::Relaxed),
-            shards: Mutex::new(Vec::new()),
-        }
-    }
+    stripes: [Mutex<Stripe>; STRIPES],
 }
 
 impl LiveMetrics {
@@ -120,45 +75,13 @@ impl LiveMetrics {
         LiveMetrics::default()
     }
 
-    /// Runs `f` on the calling thread's shard, registering one on first
-    /// use. The fast path is a thread-local scan (a handful of entries)
-    /// plus one uncontended mutex lock.
-    fn with_shard<R>(&self, f: impl FnOnce(&mut ShardData) -> R) -> R {
-        MY_SHARDS.with(|cell| {
-            let mut mine = cell.borrow_mut();
-            if let Some((_, weak)) = mine.iter().find(|(id, _)| *id == self.id) {
-                if let Some(shard) = weak.upgrade() {
-                    return f(&mut shard.lock());
-                }
-            }
-            // First record from this thread (or the aggregator the stale
-            // entry pointed at is gone): register a fresh shard.
-            mine.retain(|(_, weak)| weak.strong_count() != 0);
-            let shard = Arc::new(Shard::default());
-            self.shards
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(shard.clone());
-            mine.push((self.id, Arc::downgrade(&shard)));
-            let out = f(&mut shard.lock());
-            out
-        })
+    fn mine(&self) -> MutexGuard<'_, Stripe> {
+        crate::lock(&self.stripes[crate::stripe()])
     }
 
     /// Adds `delta` to the named monotone counter.
     pub fn counter(&self, name: &str, delta: u64) {
-        self.with_shard(|d| {
-            *d.counters.entry(name.to_string()).or_insert(0) += delta;
-        });
-    }
-
-    /// Sets the named gauge; the most recent write across all threads wins
-    /// in the merged view.
-    pub fn gauge(&self, name: &str, value: f64) {
-        let stamp = GAUGE_STAMP.fetch_add(1, Ordering::Relaxed);
-        self.with_shard(|d| {
-            d.gauges.insert(name.to_string(), (stamp, value));
-        });
+        *self.mine().counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Records one observation of the named histogram. NaN observations
@@ -167,33 +90,22 @@ impl LiveMetrics {
         if value.is_nan() {
             return;
         }
-        self.with_shard(|d| {
-            d.hists.entry(name.to_string()).or_default().push(value);
-        });
+        self.mine()
+            .hists
+            .entry(name.to_string())
+            .or_default()
+            .push(value);
     }
 
-    /// Merges every shard into one consistent snapshot: counters summed,
-    /// gauges resolved by write stamp, histogram windows concatenated and
-    /// summarised with nearest-rank quantiles.
+    /// Merges every stripe into one snapshot: counters summed, histogram
+    /// windows concatenated and summarised with nearest-rank quantiles.
     pub fn merge(&self) -> LiveSnapshot {
-        let shards: Vec<Arc<Shard>> = self
-            .shards
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, (u64, f64)> = BTreeMap::new();
         let mut pools: BTreeMap<String, (u64, Vec<f64>)> = BTreeMap::new();
-        for shard in shards {
-            let data = shard.lock();
+        for stripe in &self.stripes {
+            let data = crate::lock(stripe);
             for (name, v) in &data.counters {
                 *counters.entry(name.clone()).or_insert(0) += v;
-            }
-            for (name, &(stamp, value)) in &data.gauges {
-                let slot = gauges.entry(name.clone()).or_insert((stamp, value));
-                if stamp >= slot.0 {
-                    *slot = (stamp, value);
-                }
             }
             for (name, hist) in &data.hists {
                 let pool = pools.entry(name.clone()).or_insert((0, Vec::new()));
@@ -207,11 +119,7 @@ impl LiveMetrics {
                 HistSummary::of(&samples).map(|summary| (name, LiveHist { total, summary }))
             })
             .collect();
-        LiveSnapshot {
-            counters,
-            gauges: gauges.into_iter().map(|(k, (_, v))| (k, v)).collect(),
-            hists,
-        }
+        LiveSnapshot { counters, hists }
     }
 }
 
@@ -220,7 +128,7 @@ impl LiveMetrics {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveHist {
     /// Exact lifetime observation count (may exceed `summary.n` once the
-    /// per-shard windows wrap).
+    /// per-stripe windows wrap).
     pub total: u64,
     /// Nearest-rank summary over the retained window.
     pub summary: HistSummary,
@@ -231,8 +139,6 @@ pub struct LiveHist {
 pub struct LiveSnapshot {
     /// Summed monotone counters, sorted by name.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges, sorted by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Merged histograms, sorted by name.
     pub hists: BTreeMap<String, LiveHist>,
 }
@@ -245,11 +151,6 @@ impl LiveSnapshot {
             .counters
             .iter()
             .map(|(k, v)| (k.clone(), v.to_string()))
-            .collect();
-        let gauges: Vec<(String, String)> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), json::number(*v)))
             .collect();
         let hists: Vec<(String, String)> = self
             .hists
@@ -273,7 +174,6 @@ impl LiveSnapshot {
             .collect();
         json::object(&[
             ("counters".into(), json::object(&counters)),
-            ("gauges".into(), json::object(&gauges)),
             ("hists".into(), json::object(&hists)),
         ])
     }
@@ -282,7 +182,7 @@ impl LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -320,23 +220,11 @@ mod tests {
         assert_eq!(live.merge().counters["ephemeral"], 7);
     }
 
+    /// Merging what k threads recorded, then summarising, equals the
+    /// quantiles of the concatenated samples — pinned over randomised
+    /// splits across threads.
     #[test]
-    fn gauges_are_last_write_wins_across_shards() {
-        let live = Arc::new(LiveMetrics::new());
-        live.gauge("depth", 1.0);
-        let l2 = live.clone();
-        thread::spawn(move || l2.gauge("depth", 2.0))
-            .join()
-            .unwrap();
-        assert_eq!(live.merge().gauges["depth"], 2.0);
-        live.gauge("depth", 3.0);
-        assert_eq!(live.merge().gauges["depth"], 3.0);
-    }
-
-    /// Satellite: merging k shards then summarising equals the quantiles
-    /// of the concatenated samples — pinned over randomised shard splits.
-    #[test]
-    fn shard_merge_matches_concatenated_quantiles() {
+    fn thread_merge_matches_concatenated_quantiles() {
         // Deterministic split-mix style generator (no rand dep here).
         let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut next = move || {
@@ -346,23 +234,23 @@ mod tests {
             (state >> 33) as u32
         };
         for case in 0..50u32 {
-            let k = 1 + (next() % 6) as usize; // 1..=6 shards
-            let mut per_shard: Vec<Vec<f64>> = vec![Vec::new(); k];
+            let k = 1 + (next() % 6) as usize; // 1..=6 threads
+            let mut per_thread: Vec<Vec<f64>> = vec![Vec::new(); k];
             let total = (next() % 200) as usize;
             let mut all = Vec::new();
             for _ in 0..total {
                 let v = (next() % 1000) as f64 / 7.0;
-                per_shard[(next() as usize) % k].push(v);
+                per_thread[(next() as usize) % k].push(v);
                 all.push(v);
             }
             let live = Arc::new(LiveMetrics::new());
-            let handles: Vec<_> = per_shard
+            let handles: Vec<_> = per_thread
                 .into_iter()
                 .map(|samples| {
                     let live = live.clone();
                     thread::spawn(move || {
-                        // A shard that records only a counter stays empty
-                        // for the histogram — the "empty shard" edge case.
+                        // A thread that records only a counter adds nothing
+                        // to the histogram — the "empty thread" edge case.
                         live.counter("touched", 1);
                         for v in samples {
                             live.sample("lat", v);
@@ -392,8 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn single_sample_and_all_equal_shards_merge_exactly() {
-        // k single-sample shards.
+    fn single_sample_and_all_equal_threads_merge_exactly() {
+        // k single-sample threads.
         let live = Arc::new(LiveMetrics::new());
         for v in [3.0, 1.0, 2.0] {
             let live = live.clone();
@@ -439,6 +327,32 @@ mod tests {
         assert_eq!(got.summary.max, (n - 1) as f64);
     }
 
+    /// However many threads have recorded, the merged window holds at
+    /// most one full window per stripe, while `n` stays exact.
+    #[test]
+    fn merged_window_is_bounded_by_the_stripe_count() {
+        let live = Arc::new(LiveMetrics::new());
+        let threads = 2 * STRIPES;
+        for _ in 0..threads {
+            let live = live.clone();
+            thread::spawn(move || {
+                for i in 0..=WINDOW_CAP {
+                    live.sample("lat", i as f64);
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let got = live.merge().hists["lat"];
+        assert_eq!(got.total, (threads * (WINDOW_CAP + 1)) as u64);
+        assert!(
+            (WINDOW_CAP..=STRIPES * WINDOW_CAP).contains(&got.summary.n),
+            "merged window {} outside [{WINDOW_CAP}, {}]",
+            got.summary.n,
+            STRIPES * WINDOW_CAP
+        );
+    }
+
     #[test]
     fn nan_samples_are_dropped_not_poisoning() {
         let live = LiveMetrics::new();
@@ -454,7 +368,6 @@ mod tests {
         let live = LiveMetrics::new();
         live.counter("b.count", 2);
         live.counter("a.count", 1);
-        live.gauge("ratio", 0.5);
         for v in [1.0, 2.0, 3.0] {
             live.sample("lat_ms", v);
         }

@@ -7,6 +7,8 @@
 //! declared-but-absent size. These tests throw truncations, deep nesting,
 //! huge numbers, malformed escapes, and seeded random mutations at it.
 
+use std::time::{Duration, Instant};
+
 use fl_telemetry::json::{self, Json};
 
 /// SplitMix64 — deterministic mutation source (no dependency on the rand
@@ -129,6 +131,8 @@ fn malformed_escapes_and_strings_err_cleanly() {
         r#""\u""#,         // truncated \u
         r#""\u12""#,       // short hex
         r#""\u12g4""#,     // non-hex digit
+        r#""\u+123""#,     // sign before the hex digits
+        r#""\u+0041""#,    // sign, then four hex digits
         r#""\"#,           // escape at end of input
         "\"unterminated",  // no closing quote
         "\"raw\u{1}ctl\"", // raw control byte in string
@@ -196,6 +200,24 @@ fn seeded_random_garbage_never_panics() {
             }
         }
     }
+}
+
+/// Reading a string is linear in its length: a 1 MiB string parses well
+/// under a second even in a debug build (the reader once re-validated the
+/// rest of the document for every character, about 25 s in release).
+#[test]
+fn a_one_mebibyte_string_parses_in_linear_time() {
+    let piece = "plain ascii, then é and an escaped \" quote; ";
+    let payload = piece.repeat((1 << 20) / piece.len() + 1);
+    let text = json::string(&payload);
+    let started = Instant::now();
+    let parsed = json::parse(&text).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(parsed.as_str(), Some(payload.as_str()));
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "1 MiB string took {elapsed:?}"
+    );
 }
 
 #[test]
