@@ -3,9 +3,9 @@
 //! The batch mechanism `A_FL` sees the complete bid set before deciding;
 //! this module implements the other operating regime from the online
 //! procurement literature (Zhang et al., arXiv:2201.09047): bids **arrive
-//! and expire over time**, and the server must commit or reject each one
-//! *on arrival, irrevocably*, while total remuneration stays within a
-//! budget `B`.
+//! over time**, and the server must commit or reject each one *on
+//! arrival, irrevocably*, while total remuneration stays within a budget
+//! `B`.
 //!
 //! # Mechanism
 //!
@@ -17,12 +17,11 @@
 //! ```
 //!
 //! On arrival a bid is screened by the *same* qualification gates as the
-//! batch sweep — served incrementally from [`SweepPrecomp::insert`] /
-//! [`SweepPrecomp::remove`], which the batch-equivalence oracle
-//! ([`SweepPrecomp::rebatch`]) holds bit-identical to a fresh batch
-//! qualification over the surviving bids. A qualified bid is scheduled
-//! into the earliest still-uncovered rounds of its truncated window and
-//! committed iff
+//! batch sweep: [`SweepPrecomp::insert`] computes its thresholds exactly
+//! as the batch constructor does, and the bid qualifies iff its
+//! [`SweepPrecomp::admission_horizon`] is at most `T̂`. A qualified bid is
+//! scheduled into the earliest still-uncovered rounds of its truncated
+//! window and committed iff
 //!
 //! 1. at least one of its rounds is still uncovered (`gain ≥ 1`),
 //! 2. its claimed cost does not exceed the posted offer `π · gain`, and
@@ -37,17 +36,18 @@
 //! exceeds `B` (budget feasibility). The certifier checks all three on
 //! replayed arrival prefixes.
 //!
-//! Decisions are irrevocable: expiry ([`OnlineAuction::expire`]) only
-//! removes *uncommitted* bids from the qualified pool, and duplicate
-//! submissions (client retries, duplicated frames) replay the original
-//! decision instead of double-counting coverage — see
-//! [`OnlineAuction::submit`].
+//! Decisions are irrevocable. A decision reads only the arriving bid,
+//! the coverage so far and the budget, never the earlier uncommitted
+//! bids, so withdrawing one could change no later verdict and the mode
+//! has no expiry. Duplicate submissions (client retries, duplicated
+//! frames) replay the original decision instead of double-counting
+//! coverage — see [`OnlineAuction::submit`].
 //!
 //! # Degenerate inputs
 //!
 //! `B = 0` posts a zero offer, so only zero-priced bids can commit; an
-//! empty arrival prefix or a horizon where every bid has expired simply
-//! yields an empty committed set. None of these panic.
+//! empty arrival prefix simply yields an empty committed set. Neither
+//! panics.
 
 use std::collections::HashMap;
 
@@ -137,8 +137,6 @@ pub struct OnlineCounters {
     pub rejected_price: u64,
     /// Rejections: offer exceeded the remaining budget.
     pub rejected_budget: u64,
-    /// Uncommitted bids removed from the pool by expiry.
-    pub expired: u64,
 }
 
 /// Final state of an online run: the committed set and its accounting.
@@ -258,7 +256,6 @@ pub struct OnlineAuction {
     precomp: SweepPrecomp,
     coverage: Coverage,
     winners: Vec<WinnerEntry>,
-    committed_refs: Vec<BidRef>,
     seen: HashMap<BidKey, OnlineDecision>,
     budget: f64,
     spent: f64,
@@ -291,7 +288,6 @@ impl OnlineAuction {
             precomp,
             coverage,
             winners: Vec::new(),
-            committed_refs: Vec::new(),
             seen: HashMap::new(),
             budget,
             spent: 0.0,
@@ -326,7 +322,7 @@ impl OnlineAuction {
         &self.instance
     }
 
-    /// The incremental qualified-set precomp (live = arrived, unexpired).
+    /// The incremental qualified-set precomp over every distinct arrival.
     pub fn precomp(&self) -> &SweepPrecomp {
         &self.precomp
     }
@@ -377,7 +373,6 @@ impl OnlineAuction {
                 payment: decision.payment,
                 schedule: decision.schedule.clone(),
             });
-            self.committed_refs.push(bid_ref);
             self.counters.committed += 1;
             counter!("online.committed", 1);
         } else {
@@ -441,22 +436,6 @@ impl OnlineAuction {
             reason: DecisionReason::Committed,
             duplicate: false,
         }
-    }
-
-    /// Expires an uncommitted bid: removes it from the qualified pool, as
-    /// if it had never arrived. Returns `false` (and changes nothing) for
-    /// committed bids — commitments are irrevocable — and for references
-    /// that are not live (never arrived, or already expired).
-    pub fn expire(&mut self, bid_ref: BidRef) -> bool {
-        if self.committed_refs.contains(&bid_ref) {
-            return false;
-        }
-        let removed = self.precomp.remove(bid_ref);
-        if removed {
-            self.counters.expired += 1;
-            counter!("online.expired", 1);
-        }
-        removed
     }
 
     /// Closes the run and returns the committed set with its accounting.
@@ -588,43 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn expiry_removes_uncommitted_bids_but_never_commitments() {
-        let mut online = OnlineAuction::new(cfg(4, 1), 40.0).unwrap();
-        let c0 = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let c1 = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let won = online.submit(c0, bid(25.0, 1, 4, 4)).unwrap();
-        let lost = online.submit(c1, bid(90.0, 1, 4, 4)).unwrap();
-        assert!(won.committed && !lost.committed);
-        assert!(!online.expire(won.bid_ref), "commitments are irrevocable");
-        assert!(online.expire(lost.bid_ref));
-        assert!(!online.expire(lost.bid_ref), "second expiry is a no-op");
-        assert_eq!(online.counters().expired, 1);
-        assert!(!online.precomp().contains(lost.bid_ref));
-        let out = online.finish();
-        assert_eq!(out.winners().len(), 1);
-    }
-
-    #[test]
-    fn all_bids_expired_horizon_yields_empty_committed_set() {
-        let mut online = OnlineAuction::new(cfg(4, 1), 1.0).unwrap();
-        let c = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let mut refs = Vec::new();
-        for i in 0..3 {
-            // All priced far above the posted offer → all rejected.
-            let d = online.submit(c, bid(50.0 + f64::from(i), 1, 4, 2)).unwrap();
-            assert!(!d.committed);
-            refs.push(d.bid_ref);
-        }
-        for r in refs {
-            assert!(online.expire(r));
-        }
-        assert_eq!(online.precomp().live_bids(), 0);
-        let out = online.finish();
-        assert!(out.winners().is_empty());
-        assert_eq!(out.counters().expired, 3);
-    }
-
-    #[test]
     fn budget_feasibility_and_ir_hold_on_a_mixed_stream() {
         let mut state = 0xab5u64;
         let mut next = move || {
@@ -708,9 +650,9 @@ mod tests {
 
     #[test]
     fn insert_only_stream_with_infinite_budget_matches_batch_prefixes() {
-        // Satellite property at the driver level: streaming arrivals with
-        // no expiries and B = ∞ keep the incremental precomp bit-identical
-        // to a batch precomp over the instance at every prefix.
+        // Driver-level property: with B = ∞ the incremental precomp stays
+        // bit-identical, at every prefix, to a precomp built afresh from
+        // the same arrivals in arrival order.
         let mut online = OnlineAuction::new(cfg(6, 2), f64::INFINITY).unwrap();
         let clients: Vec<ClientId> = (0..3)
             .map(|i| online.register_client(ClientProfile::new(1.0 + f64::from(i), 2.0).unwrap()))
@@ -722,20 +664,23 @@ mod tests {
             (0, 7.0, 4, 6, 1),
             (1, 2.0, 1, 6, 6),
         ];
+        let mut arrived = Vec::new();
         for (ci, price, a, d, c) in arrivals {
-            online.submit(clients[ci], bid(price, a, d, c)).unwrap();
+            let b = bid(price, a, d, c);
+            arrived.push((online.submit(clients[ci], b).unwrap().bid_ref, b));
+            let mut fresh = SweepPrecomp::empty(online.instance().config());
+            for (bid_ref, b) in &arrived {
+                fresh.insert(*bid_ref, b, online.instance().round_time(*bid_ref));
+            }
             let incremental = online.precomp();
-            // The rebatch oracle rebuilds from the survivors in arrival
-            // order: every observable must be bit-identical.
-            let oracle = incremental.rebatch();
-            for h in 1..=oracle.horizon_cap() {
+            for h in 1..=fresh.horizon_cap() {
                 assert_eq!(
-                    oracle.qualify_at(h).bids(),
+                    fresh.qualify_at(h).bids(),
                     incremental.qualify_at(h).bids(),
-                    "prefix diverges from the oracle at T̂_g = {h}"
+                    "prefix diverges from a fresh precomp at T̂_g = {h}"
                 );
                 assert_eq!(
-                    oracle.cost_lower_bound(h).to_bits(),
+                    fresh.cost_lower_bound(h).to_bits(),
                     incremental.cost_lower_bound(h).to_bits()
                 );
             }

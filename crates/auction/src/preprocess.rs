@@ -1,25 +1,17 @@
-//! Qualified-bid preprocessing: within-client dominated-bid elimination
-//! and the per-sweep admissibility precomputation ([`SweepPrecomp`]).
+//! Qualified-bid preprocessing: the per-sweep admissibility
+//! precomputation ([`SweepPrecomp`]).
 //!
-//! For one client, bid `B'` **dominates** bid `B` when it is no more
-//! expensive (`p' ≤ p`), at least as available (`a' ≤ a`, `d' ≥ d`) and
-//! offers at least as many rounds (`c' ≥ c`). Any feasible solution using
-//! `B` stays feasible (at no higher cost) after swapping in `B'`: the
-//! wider window contains every schedulable round of the narrower one and
-//! the extra rounds only add coverage, which ILP (6) never penalises. So
-//! removing dominated bids preserves the optimal social cost exactly —
-//! property-tested against the brute-force solver.
-//!
-//! Scope note: [`remove_dominated`] is a *cost-side* tool (exact solving,
-//! relaxations, what-if analyses). Running the payment rule on a pruned
-//! bid set changes critical values, so the mechanism itself never prunes
-//! **bids**. [`SweepPrecomp`] is different: it never drops a bid — it only
-//! precomputes, per bid, the smallest horizon at which the unchanged
-//! qualification rules of [`crate::qualify()`] admit it, so the sweep can
-//! rebuild each horizon's exact qualified set by threshold comparison
-//! instead of re-deriving every gate, and can lower-bound a horizon's cost
-//! to skip horizons that provably cannot win (see
-//! [`SweepPrecomp::cost_lower_bound`]).
+//! [`SweepPrecomp`] never drops a bid — it only precomputes, per bid, the
+//! smallest horizon at which the unchanged qualification rules of
+//! [`crate::qualify()`] admit it, so the sweep can rebuild each horizon's
+//! exact qualified set by threshold comparison instead of re-deriving
+//! every gate, and can lower-bound a horizon's cost to skip horizons that
+//! provably cannot win (see [`SweepPrecomp::cost_lower_bound`]). The
+//! online mode ([`crate::online`]) appends bids to it one at a time and
+//! reads each arrival's threshold through
+//! [`SweepPrecomp::admission_horizon`].
+
+use std::sync::OnceLock;
 
 use crate::bid::{Bid, Instance};
 use crate::config::{AuctionConfig, QualifyMode};
@@ -27,47 +19,6 @@ use crate::qualify::{QualifiedBid, QUALIFY_EPS};
 use crate::types::{BidRef, Round, Window};
 use crate::wdp::Wdp;
 use fl_telemetry::{counter, span};
-
-/// Returns a WDP without within-client dominated bids, plus how many bids
-/// were removed. Exact ties (identical price, window and rounds) keep the
-/// earliest bid reference.
-pub fn remove_dominated(wdp: &Wdp) -> (Wdp, usize) {
-    let bids = wdp.bids();
-    let mut keep = vec![true; bids.len()];
-    // Pairwise scan (bid counts per client are tiny — J ≤ 10).
-    for i in 0..bids.len() {
-        for j in 0..bids.len() {
-            if i == j || !keep[i] || !keep[j] {
-                continue;
-            }
-            if bids[i].bid_ref.client != bids[j].bid_ref.client {
-                continue;
-            }
-            if dominates(&bids[j], &bids[i]) && (!dominates(&bids[i], &bids[j]) || j < i) {
-                keep[i] = false;
-            }
-        }
-    }
-    let kept: Vec<QualifiedBid> = bids
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(b, _)| *b)
-        .collect();
-    let removed = bids.len() - kept.len();
-    (
-        Wdp::new(wdp.horizon(), wdp.demand_per_round(), kept),
-        removed,
-    )
-}
-
-/// Whether `a` (weakly) dominates `b` for the same client.
-fn dominates(a: &QualifiedBid, b: &QualifiedBid) -> bool {
-    a.price <= b.price
-        && a.window.start() <= b.window.start()
-        && a.window.end() >= b.window.end()
-        && a.rounds >= b.rounds
-}
 
 /// Sentinel threshold for "no horizon in the sweep admits this bid".
 const NEVER: u32 = u32::MAX;
@@ -127,19 +78,16 @@ impl PrecompColumns {
 ///
 /// # Incremental maintenance
 ///
-/// Beyond the batch constructor, the precomp supports streaming
-/// maintenance for the online auction mode ([`crate::online`]):
-/// [`insert`](SweepPrecomp::insert) appends one bid's threshold columns
-/// (the exact computation the batch constructor runs per bid), and
-/// [`remove`](SweepPrecomp::remove) tombstones a slot so every later
-/// [`qualify_at`](SweepPrecomp::qualify_at) /
-/// [`cost_lower_bound`](SweepPrecomp::cost_lower_bound) behaves as if the
-/// bid had never arrived. The invariant, enforced by
-/// [`rebatch`](SweepPrecomp::rebatch) (the batch-equivalence oracle) and
-/// the property suite, is that after **any** insert/delete sequence the
-/// precomp is observationally identical — bid sets, gate counters,
-/// lower bounds — to a fresh batch precomp over the surviving bids in
-/// arrival order.
+/// The precomp is append-only. Beyond the batch constructor,
+/// [`insert`](SweepPrecomp::insert) streams one bid in for the online
+/// auction mode ([`crate::online`]), running the exact per-bid
+/// computation the batch constructor runs, so after any sequence of
+/// inserts the precomp is observationally identical — bid sets, gate
+/// counters, lower bounds — to [`SweepPrecomp::new`] over the same bids
+/// in arrival order. The lower bound's `(avg, slot)` scan order is built
+/// by the first [`cost_lower_bound`](SweepPrecomp::cost_lower_bound)
+/// after construction or after the last insert, so a stream that never
+/// asks for a bound never sorts.
 #[derive(Debug, Clone)]
 pub struct SweepPrecomp {
     k: u32,
@@ -147,15 +95,10 @@ pub struct SweepPrecomp {
     t_max: f64,
     mode: QualifyMode,
     cols: PrecompColumns,
-    /// Parallel to `cols`: `false` marks tombstoned (removed) slots. Every
-    /// scan skips dead slots, so observable behaviour matches a rebuild on
-    /// the survivors.
-    alive: Vec<bool>,
-    live: usize,
-    /// Indices of live admissible entries sorted by `(avg, slot)` — the
-    /// order the batch stable sort produces — for the lower bound's
-    /// cheapest-slot scan.
-    by_avg: Vec<usize>,
+    /// Indices of admissible entries sorted by `(avg, slot)`, for the
+    /// lower bound's cheapest-slot scan. Filled by `avg_order()`, emptied
+    /// by `insert`.
+    by_avg: OnceLock<Vec<usize>>,
 }
 
 impl SweepPrecomp {
@@ -168,9 +111,7 @@ impl SweepPrecomp {
             t_max: config.round_time_limit(),
             mode: config.qualify_mode(),
             cols: PrecompColumns::default(),
-            alive: Vec::new(),
-            live: 0,
-            by_avg: Vec::new(),
+            by_avg: OnceLock::new(),
         }
     }
 
@@ -185,20 +126,12 @@ impl SweepPrecomp {
         for (bid_ref, bid) in instance.iter_bids() {
             precomp.push_columns(bid_ref, bid, instance.round_time(bid_ref));
         }
-        // Batch path: one stable sort instead of n sorted insertions.
-        // Stable sort keys equal averages by slot order, so the result is
-        // exactly the `(avg, slot)` order `insert` maintains incrementally.
-        let mut by_avg: Vec<usize> = (0..precomp.cols.len())
-            .filter(|&i| precomp.cols.min_admissible[i] != NEVER)
-            .collect();
-        by_avg.sort_by(|&i, &j| precomp.cols.avg[i].total_cmp(&precomp.cols.avg[j]));
-        precomp.by_avg = by_avg;
         precomp
     }
 
     /// Appends one bid's threshold columns; identical per-bid computation
-    /// to the batch constructor. Returns the new slot index.
-    fn push_columns(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) -> usize {
+    /// to the batch constructor.
+    fn push_columns(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) {
         let time_ok = round_time <= self.t_max + QUALIFY_EPS;
         let h_accuracy = accuracy_threshold(bid.accuracy(), self.horizon_cap);
         let a = u64::from(bid.window().start().0);
@@ -215,7 +148,6 @@ impl SweepPrecomp {
         } else {
             h_accuracy.max(h_window)
         };
-        let slot = self.cols.len();
         self.cols.bid_refs.push(bid_ref);
         self.cols.prices.push(bid.price());
         self.cols.accuracies.push(bid.accuracy());
@@ -227,14 +159,12 @@ impl SweepPrecomp {
         self.cols.h_window.push(h_window);
         self.cols.min_admissible.push(min_admissible);
         self.cols.avg.push(bid.price() / f64::from(bid.rounds()));
-        self.alive.push(true);
-        self.live += 1;
-        slot
     }
 
-    /// Streams one bid into the precomp: threshold columns plus a sorted
-    /// insertion into the lower-bound scan order. After an insert-only
-    /// sequence the precomp is bit-identical to
+    /// Streams one bid into the precomp and drops the lower-bound scan
+    /// order, which the next
+    /// [`cost_lower_bound`](SweepPrecomp::cost_lower_bound) rebuilds. After
+    /// any sequence of inserts the precomp is bit-identical to
     /// [`SweepPrecomp::new`] over the same bids in the same order.
     ///
     /// `round_time` is the bid's per-round wall clock
@@ -243,100 +173,33 @@ impl SweepPrecomp {
     ///
     /// # Panics
     ///
-    /// Panics if `bid_ref` is already live — duplicate submissions must be
-    /// deduplicated by the caller ([`crate::online::OnlineAuction`] keeps
-    /// them idempotent).
+    /// Panics if `bid_ref` was already inserted — duplicate submissions
+    /// must be deduplicated by the caller
+    /// ([`crate::online::OnlineAuction`] keeps them idempotent).
     pub fn insert(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) {
         assert!(
-            !self.contains(bid_ref),
-            "duplicate insert of live bid {bid_ref}"
+            self.slot_of(bid_ref).is_none(),
+            "duplicate insert of bid {bid_ref}"
         );
-        let slot = self.push_columns(bid_ref, bid, round_time);
-        if self.cols.min_admissible[slot] != NEVER {
-            let avg = self.cols.avg[slot];
-            let at = self
-                .by_avg
-                .partition_point(|&i| self.cols.avg[i].total_cmp(&avg).then(i.cmp(&slot)).is_lt());
-            self.by_avg.insert(at, slot);
-        }
+        self.push_columns(bid_ref, bid, round_time);
+        self.by_avg.take();
     }
 
-    /// Tombstones a live bid (expiry in the online mode): every later scan
-    /// behaves as if the bid had never arrived. Returns `false` when no
-    /// live slot holds `bid_ref` (already removed, or never inserted).
-    pub fn remove(&mut self, bid_ref: BidRef) -> bool {
-        let Some(slot) = self.live_slot(bid_ref) else {
-            return false;
-        };
-        self.alive[slot] = false;
-        self.live -= 1;
-        if self.cols.min_admissible[slot] != NEVER {
-            if let Ok(at) = self.by_avg.binary_search_by(|&i| {
-                self.cols.avg[i]
-                    .total_cmp(&self.cols.avg[slot])
-                    .then(i.cmp(&slot))
-            }) {
-                self.by_avg.remove(at);
-            }
-        }
-        true
+    fn slot_of(&self, bid_ref: BidRef) -> Option<usize> {
+        self.cols.bid_refs.iter().position(|&r| r == bid_ref)
     }
 
-    /// Whether a live (inserted, not removed) slot holds `bid_ref`.
-    pub fn contains(&self, bid_ref: BidRef) -> bool {
-        self.live_slot(bid_ref).is_some()
-    }
-
-    /// Number of live bids.
-    pub fn live_bids(&self) -> usize {
-        self.live
-    }
-
-    fn live_slot(&self, bid_ref: BidRef) -> Option<usize> {
-        (0..self.cols.len()).find(|&i| self.alive[i] && self.cols.bid_refs[i] == bid_ref)
-    }
-
-    /// The batch-equivalence oracle: a fresh precomp rebuilt from the
-    /// surviving bids in arrival order, exactly as
-    /// [`SweepPrecomp::new`] would build it had the removed bids never
-    /// existed. The incremental precomp must agree with this rebuild on
-    /// every observable — [`qualify_at`](SweepPrecomp::qualify_at) bid
-    /// sets and counters, and
-    /// [`cost_lower_bound`](SweepPrecomp::cost_lower_bound) — which the
-    /// property suite and the certifier's online properties check.
-    pub fn rebatch(&self) -> SweepPrecomp {
-        let mut cols = PrecompColumns::default();
-        for i in 0..self.cols.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            cols.bid_refs.push(self.cols.bid_refs[i]);
-            cols.prices.push(self.cols.prices[i]);
-            cols.accuracies.push(self.cols.accuracies[i]);
-            cols.windows.push(self.cols.windows[i]);
-            cols.rounds.push(self.cols.rounds[i]);
-            cols.round_times.push(self.cols.round_times[i]);
-            cols.time_ok.push(self.cols.time_ok[i]);
-            cols.h_accuracy.push(self.cols.h_accuracy[i]);
-            cols.h_window.push(self.cols.h_window[i]);
-            cols.min_admissible.push(self.cols.min_admissible[i]);
-            cols.avg.push(self.cols.avg[i]);
-        }
-        let mut by_avg: Vec<usize> = (0..cols.len())
-            .filter(|&i| cols.min_admissible[i] != NEVER)
-            .collect();
-        by_avg.sort_by(|&i, &j| cols.avg[i].total_cmp(&cols.avg[j]));
-        let live = cols.len();
-        SweepPrecomp {
-            k: self.k,
-            horizon_cap: self.horizon_cap,
-            t_max: self.t_max,
-            mode: self.mode,
-            alive: vec![true; live],
-            live,
-            cols,
-            by_avg,
-        }
+    /// The admissible slots in `(avg, slot)` order, built on first use
+    /// after construction or the last [`insert`](SweepPrecomp::insert).
+    /// The stable sort keeps equal averages in slot order.
+    fn avg_order(&self) -> &[usize] {
+        self.by_avg.get_or_init(|| {
+            let mut order: Vec<usize> = (0..self.cols.len())
+                .filter(|&i| self.cols.min_admissible[i] != NEVER)
+                .collect();
+            order.sort_by(|&i, &j| self.cols.avg[i].total_cmp(&self.cols.avg[j]));
+            order
+        })
     }
 
     /// The largest horizon (`T`) the thresholds were computed for.
@@ -366,9 +229,6 @@ impl SweepPrecomp {
         let (mut examined, mut by_accuracy, mut by_time, mut by_window) = (0u64, 0u64, 0u64, 0u64);
         let mut bids = Vec::new();
         for i in 0..self.cols.len() {
-            if !self.alive[i] {
-                continue;
-            }
             examined += 1;
             // Same gate order as `qualify`, so rejection counters agree.
             // Only the three threshold columns are read until admission.
@@ -419,7 +279,7 @@ impl SweepPrecomp {
     pub fn cost_lower_bound(&self, horizon: u32) -> f64 {
         let mut remaining = u64::from(self.k) * u64::from(horizon);
         let mut bound = 0.0;
-        for &idx in &self.by_avg {
+        for &idx in self.avg_order() {
             if self.cols.min_admissible[idx] > horizon {
                 continue;
             }
@@ -434,9 +294,11 @@ impl SweepPrecomp {
     }
 
     /// The smallest horizon at which `bid_ref` qualifies, or `None` if no
-    /// horizon in `1..=T` admits it (exposed for tests and analyses).
+    /// horizon in `1..=T` admits it (or the bid was never inserted). This
+    /// is the online mode's qualification gate: a streamed bid qualifies
+    /// at the fixed horizon `T̂` iff its admission horizon is at most `T̂`.
     pub fn admission_horizon(&self, bid_ref: BidRef) -> Option<u32> {
-        self.live_slot(bid_ref).and_then(|i| {
+        self.slot_of(bid_ref).and_then(|i| {
             (self.cols.min_admissible[i] != NEVER).then_some(self.cols.min_admissible[i])
         })
     }
@@ -474,120 +336,12 @@ fn clamp_u32(x: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{BidRef, ClientId, Round, Window};
+    use crate::bid::ClientProfile;
+    use crate::online::OnlineAuction;
+    use crate::qualify::qualify;
+    use crate::types::ClientId;
     use crate::wdp::WdpSolver;
     use crate::winner::AWinner;
-
-    fn qb(client: u32, bid: u32, price: f64, a: u32, d: u32, c: u32) -> QualifiedBid {
-        QualifiedBid {
-            bid_ref: BidRef::new(ClientId(client), bid),
-            price,
-            accuracy: 0.5,
-            window: Window::new(Round(a), Round(d)),
-            rounds: c,
-            round_time: 1.0,
-        }
-    }
-
-    #[test]
-    fn strictly_dominated_bid_is_removed() {
-        // Bid 1 is pricier, narrower and offers fewer rounds than bid 0.
-        let wdp = Wdp::new(
-            5,
-            1,
-            vec![
-                qb(0, 0, 3.0, 1, 5, 3),
-                qb(0, 1, 7.0, 2, 4, 2),
-                qb(1, 0, 4.0, 1, 5, 5),
-            ],
-        );
-        let (pruned, removed) = remove_dominated(&wdp);
-        assert_eq!(removed, 1);
-        assert!(pruned
-            .bids()
-            .iter()
-            .all(|b| b.bid_ref != BidRef::new(ClientId(0), 1)));
-    }
-
-    #[test]
-    fn cross_client_bids_never_dominate() {
-        let wdp = Wdp::new(5, 1, vec![qb(0, 0, 1.0, 1, 5, 5), qb(1, 0, 50.0, 2, 3, 1)]);
-        let (pruned, removed) = remove_dominated(&wdp);
-        assert_eq!(removed, 0);
-        assert_eq!(pruned.bids().len(), 2);
-    }
-
-    #[test]
-    fn exact_ties_keep_the_earliest_reference() {
-        let wdp = Wdp::new(4, 1, vec![qb(0, 0, 2.0, 1, 4, 2), qb(0, 1, 2.0, 1, 4, 2)]);
-        let (pruned, removed) = remove_dominated(&wdp);
-        assert_eq!(removed, 1);
-        assert_eq!(pruned.bids()[0].bid_ref, BidRef::new(ClientId(0), 0));
-    }
-
-    #[test]
-    fn incomparable_bids_both_survive() {
-        // Cheaper-but-narrow vs pricier-but-wide: neither dominates.
-        let wdp = Wdp::new(6, 1, vec![qb(0, 0, 2.0, 2, 3, 1), qb(0, 1, 5.0, 1, 6, 4)]);
-        let (_, removed) = remove_dominated(&wdp);
-        assert_eq!(removed, 0);
-    }
-
-    #[test]
-    fn greedy_cost_never_worsens_after_pruning() {
-        let mut state = 0x0ddba11u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..40 {
-            let h = 3 + (next() % 4) as u32;
-            let n = 8 + (next() % 8) as usize;
-            let bids: Vec<QualifiedBid> = (0..n)
-                .map(|i| {
-                    let a = 1 + (next() % u64::from(h)) as u32;
-                    let d = a + (next() % u64::from(h - a + 1)) as u32;
-                    let c = 1 + (next() % u64::from(d - a + 1)) as u32;
-                    qb(
-                        (i / 3) as u32,
-                        (i % 3) as u32,
-                        1.0 + (next() % 20) as f64,
-                        a,
-                        d,
-                        c,
-                    )
-                })
-                .collect();
-            let wdp = Wdp::new(h, 1, bids);
-            let (pruned, _) = remove_dominated(&wdp);
-            let before = AWinner::new().without_certificate().solve_wdp(&wdp);
-            let after = AWinner::new().without_certificate().solve_wdp(&pruned);
-            match (before, after) {
-                (Ok(b), Ok(a)) => assert!(
-                    a.cost() <= b.cost() + 1e-9,
-                    "trial {trial}: pruning worsened the greedy {} → {}",
-                    b.cost(),
-                    a.cost()
-                ),
-                (Err(_), Err(_)) => {}
-                (Err(_), Ok(_)) => {} // pruning can only help the greedy
-                (Ok(b), Err(e)) => {
-                    panic!(
-                        "trial {trial}: pruning broke feasibility ({}, {e})",
-                        b.cost()
-                    )
-                }
-            }
-        }
-    }
-
-    // ---- SweepPrecomp: the incremental qualifier ------------------------
-
-    use crate::bid::{Bid, ClientProfile};
-    use crate::config::AuctionConfig;
-    use crate::qualify::qualify;
     use fl_telemetry::{install_local, Recorder, Snapshot};
     use std::sync::Arc;
 
@@ -716,13 +470,12 @@ mod tests {
         }
     }
 
-    // ---- Incremental insert/delete vs the batch oracle ------------------
+    // ---- Streaming inserts vs the batch constructor ---------------------
 
     /// Asserts two precomps are observationally identical at every horizon:
     /// same qualified bid sets, same gate counters, same lower-bound bits.
     fn assert_equivalent(a: &SweepPrecomp, b: &SweepPrecomp, what: &str) {
         assert_eq!(a.horizon_cap(), b.horizon_cap(), "{what}: horizon cap");
-        assert_eq!(a.live_bids(), b.live_bids(), "{what}: live bids");
         for h in 1..=a.horizon_cap() {
             let (wa, wb) = (a.qualify_at(h), b.qualify_at(h));
             assert_eq!(wa.bids(), wb.bids(), "{what}: bid sets at T̂_g = {h}");
@@ -740,10 +493,13 @@ mod tests {
 
     /// A richer mixed instance: several clients, several bids each, every
     /// gate exercised (time-rejected, late-accuracy, escaping windows).
+    /// With `K = 1`, from the ninth arrival on, the admissible bids fill
+    /// every slot at `T̂_g = 7` and 8 in the intent mode, so the lower
+    /// bound is finite there.
     fn mixed_instance(mode: QualifyMode) -> Instance {
         let cfg = AuctionConfig::builder()
             .max_rounds(8)
-            .clients_per_round(2)
+            .clients_per_round(1)
             .round_time_limit(40.0)
             .qualify_mode(mode)
             .build()
@@ -802,68 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_delete_sequences_match_the_rebatch_oracle() {
-        let inst = mixed_instance(QualifyMode::Intent);
-        let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
-        let mut state = 0xfeedu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..20 {
-            let mut precomp = SweepPrecomp::empty(inst.config());
-            let mut pending: Vec<usize> = (0..all.len()).collect();
-            let mut live: Vec<usize> = Vec::new();
-            let mut step = 0;
-            while !pending.is_empty() || !live.is_empty() {
-                let do_insert = live.is_empty() || (!pending.is_empty() && next() % 3 != 0);
-                if do_insert {
-                    let i = pending.remove((next() % pending.len() as u64) as usize);
-                    let (bid_ref, bid) = all[i];
-                    precomp.insert(bid_ref, &bid, inst.round_time(bid_ref));
-                    live.push(i);
-                } else {
-                    let i = live.remove((next() % live.len() as u64) as usize);
-                    assert!(precomp.remove(all[i].0), "live bid must be removable");
-                }
-                assert_equivalent(
-                    &precomp,
-                    &precomp.rebatch(),
-                    &format!("trial {trial} step {step}"),
-                );
-                step += 1;
-            }
-            assert_eq!(precomp.live_bids(), 0);
-        }
-    }
-
-    #[test]
-    fn removed_bid_behaves_as_if_it_never_arrived() {
-        // Removing the *last* bid keeps every other BidRef stable, so the
-        // incremental precomp can be compared against a true batch rebuild
-        // on an instance where that bid was never submitted.
-        let inst = mixed_instance(QualifyMode::Intent);
-        let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
-        let (last_ref, _) = *all.last().unwrap();
-        let mut without = Instance::new(inst.config().clone());
-        for p in inst.clients() {
-            without.add_client(*p);
-        }
-        for (r, b) in &all[..all.len() - 1] {
-            without.add_bid(r.client, *b).unwrap();
-        }
-        let mut precomp = SweepPrecomp::new(&inst);
-        assert!(precomp.contains(last_ref));
-        assert!(precomp.remove(last_ref));
-        assert!(!precomp.contains(last_ref));
-        assert!(!precomp.remove(last_ref), "double remove reports absence");
-        assert_eq!(precomp.admission_horizon(last_ref), None);
-        assert_equivalent(&precomp, &SweepPrecomp::new(&without), "last-bid removal");
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate insert")]
     fn duplicate_insert_of_a_live_bid_panics() {
         let inst = gates_instance(QualifyMode::Intent);
@@ -873,10 +567,71 @@ mod tests {
     }
 
     #[test]
+    fn the_lower_bound_order_is_built_only_on_demand() {
+        let cfg = AuctionConfig::builder()
+            .max_rounds(20)
+            .clients_per_round(2)
+            .round_time_limit(100.0)
+            .build()
+            .unwrap();
+        let mut online = OnlineAuction::new(cfg, 500.0).unwrap();
+        let clients: Vec<ClientId> = (0..40)
+            .map(|_| online.register_client(ClientProfile::new(1.0, 1.0).unwrap()))
+            .collect();
+        let mut state = 0x0dd5u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..1_200u32 {
+            let a = 1 + (next() % 20) as u32;
+            let d = a + (next() % u64::from(21 - a)) as u32;
+            let c = 1 + (next() % u64::from(d - a + 1)) as u32;
+            let theta = [0.3, 0.5, 0.9][(next() % 3) as usize];
+            // Distinct prices, so no arrival duplicates an earlier one.
+            let bid = Bid::new(
+                1.0 + f64::from(i),
+                theta,
+                Window::new(Round(a), Round(d)),
+                c,
+            );
+            let client = clients[i as usize % clients.len()];
+            online.submit(client, bid.unwrap()).unwrap();
+        }
+        assert_eq!(online.counters().arrived, 1_200);
+        assert!(
+            online.precomp().by_avg.get().is_none(),
+            "the online gate built the lower-bound order"
+        );
+
+        let inst = online.instance();
+        let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
+        let ((last_ref, last_bid), rest) = all.split_last().unwrap();
+        let mut precomp = SweepPrecomp::empty(inst.config());
+        for (bid_ref, bid) in rest {
+            precomp.insert(*bid_ref, bid, inst.round_time(*bid_ref));
+        }
+        assert!(
+            precomp.by_avg.get().is_none(),
+            "inserts alone build nothing"
+        );
+        let h = precomp.horizon_cap();
+        precomp.cost_lower_bound(h);
+        assert!(precomp.by_avg.get().is_some(), "the bound builds the order");
+        precomp.insert(*last_ref, last_bid, inst.round_time(*last_ref));
+        assert!(precomp.by_avg.get().is_none(), "an insert clears the order");
+        assert_eq!(
+            precomp.cost_lower_bound(h).to_bits(),
+            SweepPrecomp::new(inst).cost_lower_bound(h).to_bits()
+        );
+    }
+
+    #[test]
     fn empty_streaming_precomp_is_empty_batch() {
         let cfg = AuctionConfig::paper_default();
         let streaming = SweepPrecomp::empty(&cfg);
-        assert_eq!(streaming.live_bids(), 0);
         assert_equivalent(&streaming, &SweepPrecomp::new(&Instance::new(cfg)), "empty");
     }
 

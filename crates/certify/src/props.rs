@@ -42,8 +42,8 @@ use std::collections::HashSet;
 use fl_auction::truthful::{deviation_outcome, myerson_payment, wins_at, DeviationOutcome};
 use fl_auction::{
     min_horizon, qualify, run_auction, verify, AWinner, AuctionError, Bid, BidRef, ClientId,
-    ClientProfile, DecisionReason, OnlineAuction, OnlineDecision, Round, Wdp, WdpError,
-    WdpSolution, WdpSolver, Window,
+    ClientProfile, DecisionReason, OnlineAuction, OnlineDecision, Round, SweepPrecomp, Wdp,
+    WdpError, WdpSolution, WdpSolver, Window,
 };
 use fl_exact::{BruteForceSolver, ExactSolver, Optimality, ProvingWdpSolver};
 
@@ -113,8 +113,10 @@ pub mod prop {
     /// above the posted offer, or rejected it below (posted-price
     /// truthfulness on the replayed arrival prefix).
     pub const ONLINE_POSTED_TRUTHFUL: &str = "online_posted_truthfulness";
-    /// Online mode: the incremental qualified-set precomp diverged from
-    /// its batch-equivalence oracle ([`fl_auction::SweepPrecomp::rebatch`]).
+    /// Online mode: the streaming qualified-set precomp diverged from a
+    /// fresh [`fl_auction::SweepPrecomp`] fed the same arrivals in arrival
+    /// order, or a bid's admission horizon from a batch build over the
+    /// grown instance.
     pub const ONLINE_INCREMENTAL_BATCH: &str = "online_incremental_vs_batch";
     /// `Wdp::obviously_infeasible` disagrees with the per-round `HashSet`
     /// oracle ([`crate::oracle::obviously_infeasible`]), in the rows'
@@ -371,11 +373,12 @@ fn check_omega_oracle(wdp: &Wdp, sol: &WdpSolution, v: &mut Vec<Violation>) {
 ///   above the posted offer must flip the decision to
 ///   `price_above_offer` (the payment is bid-independent, so no
 ///   misreport can profit);
-/// * **Incremental ≡ batch** — the streaming [`fl_auction::SweepPrecomp`]
-///   must agree with its [`rebatch`](fl_auction::SweepPrecomp::rebatch)
-///   oracle on every horizon's qualified set and cost lower bound
-///   (bit-for-bit), proving the insert path equivalent to a fresh batch
-///   build.
+/// * **Incremental ≡ batch** — the streaming [`SweepPrecomp`] must agree
+///   bit-for-bit, on every horizon's qualified set and cost lower bound,
+///   with a fresh [`SweepPrecomp::empty`] fed the stream's distinct
+///   arrivals in arrival order (which recomputes every threshold), and
+///   each bid's [`admission_horizon`](SweepPrecomp::admission_horizon)
+///   must match [`SweepPrecomp::new`] over the grown instance.
 fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &mut Stats) {
     let full = match stream(ci, budget, ci.bids.len(), None) {
         Ok(run) => run,
@@ -417,28 +420,50 @@ fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &
         }
     }
 
-    // Incremental ≡ batch: the streaming precomp vs its rebatch oracle,
-    // on every horizon's qualified set and cost lower bound.
+    // Incremental ≡ batch: the streaming precomp vs a fresh one fed the
+    // distinct arrivals in arrival order, on every horizon's qualified set
+    // and cost lower bound; then each bid's admission horizon vs a batch
+    // build, whose client-major order leaves per-bid thresholds unchanged.
+    let instance = full.online.instance();
     let precomp = full.online.precomp();
-    let oracle = precomp.rebatch();
+    let mut fresh = SweepPrecomp::empty(instance.config());
+    for d in full.decisions.iter().filter(|d| !d.duplicate) {
+        let bid_ref = d.bid_ref;
+        fresh.insert(bid_ref, instance.bid(bid_ref), instance.round_time(bid_ref));
+    }
     for h in 1..=ci.t {
         let inc = precomp.qualify_at(h);
-        let bat = oracle.qualify_at(h);
+        let bat = fresh.qualify_at(h);
         if inc.bids() != bat.bids() {
             v.push(Violation {
                 property: prop::ONLINE_INCREMENTAL_BATCH,
                 detail: format!(
-                    "T̂={h}: incremental qualified set has {} bid(s), rebatch oracle {}",
+                    "T̂={h}: incremental qualified set has {} bid(s), fresh precomp {}",
                     inc.bids().len(),
                     bat.bids().len()
                 ),
             });
         }
-        let (lb_inc, lb_bat) = (precomp.cost_lower_bound(h), oracle.cost_lower_bound(h));
+        let (lb_inc, lb_bat) = (precomp.cost_lower_bound(h), fresh.cost_lower_bound(h));
         if lb_inc.to_bits() != lb_bat.to_bits() {
             v.push(Violation {
                 property: prop::ONLINE_INCREMENTAL_BATCH,
-                detail: format!("T̂={h}: incremental lower bound {lb_inc} vs rebatch {lb_bat}"),
+                detail: format!("T̂={h}: incremental lower bound {lb_inc} vs fresh {lb_bat}"),
+            });
+        }
+    }
+    let batch = SweepPrecomp::new(instance);
+    for (bid_ref, _) in instance.iter_bids() {
+        let (inc, bat) = (
+            precomp.admission_horizon(bid_ref),
+            batch.admission_horizon(bid_ref),
+        );
+        if inc != bat {
+            v.push(Violation {
+                property: prop::ONLINE_INCREMENTAL_BATCH,
+                detail: format!(
+                    "{bid_ref}: incremental admission horizon {inc:?} vs batch {bat:?}"
+                ),
             });
         }
     }

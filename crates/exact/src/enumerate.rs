@@ -148,55 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn dominated_bid_pruning_preserves_the_optimum() {
-        use fl_auction::preprocess::remove_dominated;
-        let mut state = 0x7e57ab1eu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut pruned_any = false;
-        for trial in 0..30 {
-            let h = 2 + (next() % 3) as u32;
-            let n = 6 + (next() % 6) as usize;
-            let bids: Vec<QualifiedBid> = (0..n)
-                .map(|i| {
-                    let a = 1 + (next() % u64::from(h)) as u32;
-                    let d = a + (next() % u64::from(h - a + 1)) as u32;
-                    let c = 1 + (next() % u64::from(d - a + 1)) as u32;
-                    // Few price levels + few clients → dominations occur.
-                    qb(
-                        (i / 3) as u32,
-                        (i % 3) as u32,
-                        1.0 + (next() % 4) as f64,
-                        a,
-                        d,
-                        c,
-                    )
-                })
-                .collect();
-            let wdp = Wdp::new(h, 1, bids);
-            let (pruned, removed) = remove_dominated(&wdp);
-            pruned_any |= removed > 0;
-            let before = BruteForceSolver::new().solve_wdp(&wdp);
-            let after = BruteForceSolver::new().solve_wdp(&pruned);
-            match (before, after) {
-                (Ok(b), Ok(a)) => assert!(
-                    (a.cost() - b.cost()).abs() < 1e-9,
-                    "trial {trial}: OPT changed {} -> {} after pruning {removed} bids",
-                    b.cost(),
-                    a.cost()
-                ),
-                (Err(WdpError::Infeasible), Err(WdpError::Infeasible)) => {}
-                (x, y) => panic!("trial {trial}: {x:?} vs {y:?}"),
-            }
-        }
-        assert!(pruned_any, "the corpus never exercised a domination");
-    }
-
-    #[test]
     fn agrees_with_branch_and_bound_on_random_instances() {
         let mut state = 0x243f6a8885a308d3u64;
         let mut next = move || {
