@@ -31,8 +31,7 @@
 use crate::bid::Instance;
 use crate::error::{AuctionError, WdpError};
 use crate::parallel::ordered_map;
-use crate::preprocess::SweepPrecomp;
-use crate::qualify::min_horizon;
+use crate::preprocess::{min_horizon, SweepPrecomp};
 use crate::wdp::{WdpSolution, WdpSolver};
 use crate::winner::AWinner;
 use fl_telemetry::{counter, debug, gauge, span};
@@ -253,6 +252,10 @@ fn prepare_sweep(instance: &Instance) -> Result<(SweepPrecomp, Vec<u32>), Auctio
     let t0 =
         min_horizon(instance).ok_or_else(|| AuctionError::invalid("no bids were submitted"))?;
     let horizons: Vec<u32> = (t0..=instance.config().max_rounds()).collect();
+    let _span = span!(
+        "sweep_precompute",
+        bids = instance.iter_bids().count() as u64
+    );
     Ok((SweepPrecomp::new(instance), horizons))
 }
 

@@ -114,8 +114,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::qualify::QualifiedBid;
 use crate::types::{BidRef, Round, Window};
+use crate::wdp::QualifiedBid;
 
 /// Rounds per [`CoverageIndex`] bucket (a power of two so the bucket of a
 /// round is a shift). Eight spans a typical bid window in the paper's

@@ -17,8 +17,7 @@
 //!   profiles and bids.
 //! * [`run_auction`] executes Alg. 1: it enumerates the admissible horizons
 //!   `T̂_g ∈ [T_0, T]`, serves each horizon's qualified bid set from the
-//!   thresholds [`SweepPrecomp`] computes once per instance (the same set
-//!   [`qualify()`] derives from scratch), solves each
+//!   thresholds [`SweepPrecomp`] computes once per instance, solves each
 //!   winner-determination problem with [`AWinner`] (Alg. 2, greedy over
 //!   representative schedules) and the critical-value payment rule
 //!   (Alg. 3), and returns the cheapest feasible [`AuctionOutcome`].
@@ -91,7 +90,6 @@ pub mod online;
 mod parallel;
 mod payment;
 pub mod preprocess;
-mod qualify;
 pub mod recover;
 mod schedule;
 pub mod serial;
@@ -111,11 +109,10 @@ pub use error::{AuctionError, WdpError};
 pub use online::{DecisionReason, OnlineAuction, OnlineCounters, OnlineDecision, OnlineOutcome};
 pub use parallel::SweepStrategy;
 pub use payment::{payment, PaymentRule};
-pub use preprocess::SweepPrecomp;
-pub use qualify::{min_horizon, qualify, QualifiedBid};
+pub use preprocess::{min_horizon, SweepPrecomp};
 pub use recover::{standby_pool, StandbyEntry, StandbyPool};
 pub use schedule::{pick_schedule, pick_schedule_into, representative_schedule, SchedulePolicy};
 pub use stats::{EconomicHealth, MechanismStats};
 pub use types::{BidRef, ClientId, Round, Window};
-pub use wdp::{DualCertificate, Wdp, WdpSolution, WdpSolver, WinnerEntry};
+pub use wdp::{DualCertificate, QualifiedBid, Wdp, WdpSolution, WdpSolver, WinnerEntry};
 pub use winner::{AWinner, SelectionStep};

@@ -1,24 +1,44 @@
-//! Qualified-bid preprocessing: the per-sweep admissibility
-//! precomputation ([`SweepPrecomp`]).
+//! Qualified-bid construction (Alg. 1 lines 4–6): the per-sweep
+//! admissibility precomputation ([`SweepPrecomp`]).
+//!
+//! For each candidate horizon `T̂_g`, a bid enters the winner-determination
+//! problem only if it can actually serve under that horizon: its local
+//! accuracy keeps the global-iteration bound satisfied, its per-round time
+//! fits the round budget, and its availability window (clipped to the
+//! horizon) still has room for all of its participation rounds.
 //!
 //! [`SweepPrecomp`] never drops a bid — it only precomputes, per bid, the
-//! smallest horizon at which the unchanged qualification rules of
-//! [`crate::qualify()`] admit it, so the sweep can rebuild each horizon's
-//! exact qualified set by threshold comparison instead of re-deriving
-//! every gate, and can lower-bound a horizon's cost to skip horizons that
-//! provably cannot win (see [`SweepPrecomp::cost_lower_bound`]). The
-//! online mode ([`crate::online`]) appends bids to it one at a time and
-//! reads each arrival's threshold through
-//! [`SweepPrecomp::admission_horizon`].
+//! smallest horizon at which those gates admit it, so each horizon's exact
+//! qualified set is rebuilt by threshold comparison instead of re-deriving
+//! every gate, and a horizon's cost can be lower-bounded to skip horizons
+//! that provably cannot win (see [`SweepPrecomp::cost_lower_bound`]). The
+//! batch sweeps build one per instance; the online mode
+//! ([`crate::online`]) appends bids to it one at a time and reads each
+//! arrival's threshold through [`SweepPrecomp::admission_horizon`]. The
+//! gate-by-gate reading that the precomp is certified against lives in
+//! `fl-certify` (`oracle::qualify`).
 
 use std::sync::OnceLock;
 
 use crate::bid::{Bid, Instance};
 use crate::config::{AuctionConfig, QualifyMode};
-use crate::qualify::{QualifiedBid, QUALIFY_EPS};
 use crate::types::{BidRef, Round, Window};
-use crate::wdp::Wdp;
+use crate::wdp::{QualifiedBid, Wdp};
 use fl_telemetry::{counter, span};
+
+/// Numerical slack for the `θ ≤ θ_max` and `t_ij ≤ t_max` comparisons, so
+/// that boundary bids generated from exact arithmetic are not rejected by
+/// floating-point jitter.
+pub(crate) const QUALIFY_EPS: f64 = 1e-9;
+
+/// The smallest horizon worth trying, `T_0 = ⌈1/(1−θ_min)⌉` (Alg. 1
+/// line 3), clamped to at least 1. Returns `None` when no bids exist.
+pub fn min_horizon(instance: &Instance) -> Option<u32> {
+    let theta_min = instance.min_accuracy()?;
+    let raw = 1.0 / (1.0 - theta_min);
+    // Guard against fp jitter pushing an exact integer up a notch.
+    Some(((raw - 1e-9).ceil().max(1.0)) as u32)
+}
 
 /// Sentinel threshold for "no horizon in the sweep admits this bid".
 const NEVER: u32 = u32::MAX;
@@ -61,16 +81,15 @@ impl PrecompColumns {
 
 /// Incremental qualification for the `A_FL` horizon sweep.
 ///
-/// Every gate in [`crate::qualify::qualify`] is monotone in the horizon:
-/// the accuracy bound `θ_max = 1 − 1/T̂_g` relaxes as `T̂_g` grows, the
-/// `t_max` check does not depend on `T̂_g` at all, and the truncated window
-/// only gains rounds. A bid's qualification status therefore flips from
-/// rejected to accepted at exactly one threshold horizon, which this type
-/// computes once per bid (binary-searching the accuracy gate along the
-/// *identical* floating-point comparison `qualify` uses). After that,
-/// [`SweepPrecomp::qualify_at`] rebuilds any horizon's qualified set —
-/// same bids, same order, same truncated windows, same telemetry counters
-/// — by threshold comparison, in `O(bids)` with no float re-derivation.
+/// Every qualification gate is monotone in the horizon: the accuracy bound
+/// `θ_max = 1 − 1/T̂_g` relaxes as `T̂_g` grows, the `t_max` check does not
+/// depend on `T̂_g` at all, and the truncated window only gains rounds. A
+/// bid's qualification status therefore flips from rejected to accepted at
+/// exactly one threshold horizon, which this type computes once per bid
+/// (binary-searching the accuracy gate along the *identical*
+/// floating-point comparison a per-horizon check evaluates). After that,
+/// [`SweepPrecomp::qualify_at`] builds any horizon's qualified set by
+/// threshold comparison, in `O(bids)` with no float re-derivation.
 ///
 /// The thresholds also yield [`SweepPrecomp::cost_lower_bound`], the
 /// admissible-average-cost bound `A_FL` uses to skip horizons that provably
@@ -116,12 +135,10 @@ impl SweepPrecomp {
     }
 
     /// Precomputes per-bid admissibility thresholds for sweeping
-    /// `instance`'s horizons `1..=T`.
+    /// `instance`'s horizons `1..=T`. Opens no telemetry span: the sweeps
+    /// trace the build as `sweep_precompute`, and a single-horizon caller
+    /// traces only the [`qualify_at`](SweepPrecomp::qualify_at) it runs.
     pub fn new(instance: &Instance) -> SweepPrecomp {
-        let _span = span!(
-            "sweep_precompute",
-            bids = instance.iter_bids().count() as u64
-        );
         let mut precomp = Self::empty(instance.config());
         for (bid_ref, bid) in instance.iter_bids() {
             precomp.push_columns(bid_ref, bid, instance.round_time(bid_ref));
@@ -207,11 +224,34 @@ impl SweepPrecomp {
         self.horizon_cap
     }
 
-    /// Builds the qualified bid set for `horizon` from the precomputed
-    /// thresholds — bit-identical to
-    /// [`qualify(instance, horizon)`](crate::qualify::qualify), including
-    /// bid order, truncated windows, and the `qualify.*` telemetry
-    /// counters' rejection-reason attribution.
+    /// Builds the qualified bid set `J_{T̂_g}` for `horizon` from the
+    /// precomputed thresholds and wraps it in a [`Wdp`].
+    ///
+    /// A bid qualifies when its accuracy is at most `θ_max = 1 − 1/T̂_g`
+    /// (from `T_g ≥ 1/(1−θ)`), its per-round time is within the
+    /// configured `t_max`, and its window admits it under the instance's
+    /// [`QualifyMode`]. Bids keep instance order, windows are truncated to
+    /// `[1, T̂_g]`, and the `qualify` span's `qualify.*` counters charge
+    /// each rejection to the first failing gate, in the order accuracy,
+    /// time, window.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fl_auction::{AuctionConfig, Bid, ClientProfile, Instance, Round, SweepPrecomp, Window};
+    ///
+    /// # fn main() -> Result<(), fl_auction::AuctionError> {
+    /// let cfg = AuctionConfig::builder().max_rounds(8).clients_per_round(1).build()?;
+    /// let mut inst = Instance::new(cfg);
+    /// let c = inst.add_client(ClientProfile::new(2.0, 5.0)?);
+    /// // θ = 0.75 requires T̂_g ≥ 4 to satisfy θ ≤ 1 − 1/T̂_g.
+    /// inst.add_bid(c, Bid::new(9.0, 0.75, Window::new(Round(1), Round(8)), 3)?)?;
+    /// let precomp = SweepPrecomp::new(&inst);
+    /// assert_eq!(precomp.qualify_at(3).bids().len(), 0);
+    /// assert_eq!(precomp.qualify_at(4).bids().len(), 1);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Panics
     ///
@@ -230,7 +270,6 @@ impl SweepPrecomp {
         let mut bids = Vec::new();
         for i in 0..self.cols.len() {
             examined += 1;
-            // Same gate order as `qualify`, so rejection counters agree.
             // Only the three threshold columns are read until admission.
             if horizon < self.cols.h_accuracy[i] {
                 by_accuracy += 1;
@@ -306,8 +345,8 @@ impl SweepPrecomp {
 
 /// The smallest `h ∈ [1, cap]` with `θ ≤ (1 − 1/h) + ε`, or [`NEVER`].
 ///
-/// Binary search over the **exact** comparison `qualify` evaluates per
-/// horizon; `1 − 1/h` is monotone non-decreasing in `h` even in floating
+/// Binary search over the **exact** comparison a per-horizon check
+/// evaluates; `1 − 1/h` is monotone non-decreasing in `h` even in floating
 /// point (division by a larger positive integer never rounds upward past
 /// the previous quotient), so the predicate flips at most once.
 fn accuracy_threshold(accuracy: f64, cap: u32) -> u32 {
@@ -338,15 +377,14 @@ mod tests {
     use super::*;
     use crate::bid::ClientProfile;
     use crate::online::OnlineAuction;
-    use crate::qualify::qualify;
     use crate::types::ClientId;
     use crate::wdp::WdpSolver;
     use crate::winner::AWinner;
     use fl_telemetry::{install_local, Recorder, Snapshot};
     use std::sync::Arc;
 
-    /// The qualify-gate exercise instance (mirrors `qualify.rs`): one bid
-    /// per gate — accepted, time-rejected, accuracy-rejected (until h = 5).
+    /// The gate exercise instance: one bid per gate — accepted,
+    /// time-rejected, accuracy-rejected (until h = 5).
     fn gates_instance(mode: QualifyMode) -> Instance {
         let cfg = AuctionConfig::builder()
             .max_rounds(10)
@@ -357,18 +395,19 @@ mod tests {
             .unwrap();
         let mut inst = Instance::new(cfg);
         let c = inst.add_client(ClientProfile::new(5.0, 10.0).unwrap());
+        // θ = 0.5 → T_l = 5 → t = 35 ≤ 40. Window [1,4], c = 3.
         inst.add_bid(
             c,
             Bid::new(10.0, 0.5, Window::new(Round(1), Round(4)), 3).unwrap(),
         )
         .unwrap();
-        // θ = 0.3 → t = 45 > 40: time-disqualified at every horizon.
+        // θ = 0.3 → T_l = 7 → t = 45 > 40: time-disqualified at every horizon.
         inst.add_bid(
             c,
             Bid::new(10.0, 0.3, Window::new(Round(1), Round(4)), 2).unwrap(),
         )
         .unwrap();
-        // θ = 0.8 needs T̂_g ≥ 5.
+        // θ = 0.8 → T_l = 2 → t = 20; needs T̂_g ≥ 5 for θ ≤ 1 − 1/T̂_g.
         inst.add_bid(
             c,
             Bid::new(10.0, 0.8, Window::new(Round(2), Round(9)), 4).unwrap(),
@@ -386,25 +425,93 @@ mod tests {
     }
 
     #[test]
-    fn qualify_at_matches_qualify_at_every_horizon_and_mode() {
-        for mode in [QualifyMode::Intent, QualifyMode::Literal] {
-            let inst = gates_instance(mode);
-            let precomp = SweepPrecomp::new(&inst);
-            for h in 1..=inst.config().max_rounds() {
-                let (reference, incremental) = (qualify(&inst, h), precomp.qualify_at(h));
-                assert_eq!(
-                    reference.bids(),
-                    incremental.bids(),
-                    "bid sets diverge at T̂_g = {h} ({mode:?})"
+    fn accuracy_gate_scales_with_horizon() {
+        let precomp = SweepPrecomp::new(&gates_instance(QualifyMode::Intent));
+        // T̂_g = 2 → θ_max = 0.5: only the θ = 0.5 bid passes the accuracy
+        // gate, but its truncated window [1,2] holds only 2 < 3 rounds.
+        assert_eq!(precomp.qualify_at(2).bids().len(), 0);
+        // T̂_g = 4 → θ_max = 0.75: the θ = 0.5 bid qualifies with its full
+        // window.
+        let w4 = precomp.qualify_at(4);
+        assert_eq!(w4.bids().len(), 1);
+        assert_eq!(w4.bids()[0].accuracy, 0.5);
+        // T̂_g = 5 → θ_max = 0.8: the θ = 0.8 bid joins.
+        assert_eq!(precomp.qualify_at(5).bids().len(), 2);
+    }
+
+    #[test]
+    fn time_gate_rejects_slow_bids() {
+        let precomp = SweepPrecomp::new(&gates_instance(QualifyMode::Intent));
+        for h in 1..=precomp.horizon_cap() {
+            assert!(
+                precomp
+                    .qualify_at(h)
+                    .bids()
+                    .iter()
+                    .all(|b| b.accuracy != 0.3),
+                "the 45-time-unit bid must never qualify"
+            );
+        }
+    }
+
+    #[test]
+    fn windows_are_truncated_to_horizon() {
+        let precomp = SweepPrecomp::new(&gates_instance(QualifyMode::Intent));
+        let w5 = precomp.qualify_at(5);
+        let late = w5.bids().iter().find(|b| b.accuracy == 0.8).unwrap();
+        assert_eq!(late.window, Window::new(Round(2), Round(5)));
+    }
+
+    #[test]
+    fn literal_mode_is_stricter_than_intent() {
+        let intent = SweepPrecomp::new(&gates_instance(QualifyMode::Intent));
+        let literal = SweepPrecomp::new(&gates_instance(QualifyMode::Literal));
+        for h in 1..=intent.horizon_cap() {
+            let qi = intent.qualify_at(h);
+            for b in literal.qualify_at(h).bids() {
+                assert!(
+                    qi.bids().iter().any(|i| i.bid_ref == b.bid_ref),
+                    "literal ⊆ intent at T̂_g={h}"
                 );
-                assert_eq!(reference.horizon(), incremental.horizon());
-                assert_eq!(reference.demand_per_round(), incremental.demand_per_round());
-                // Rejection-reason attribution must agree too.
-                let a = counters_of(|| drop(qualify(&inst, h)));
-                let b = counters_of(|| drop(precomp.qualify_at(h)));
-                assert_eq!(a.counters, b.counters, "counters diverge at T̂_g = {h}");
             }
         }
+        // θ = 0.5 bid: window starts at 1, c = 3 → literal needs T̂_g ≥ 4,
+        // intent needs T̂_g ≥ 3 (but accuracy forces ≥ 2; window forces ≥ 3).
+        assert_eq!(intent.qualify_at(3).bids().len(), 1);
+        assert_eq!(literal.qualify_at(3).bids().len(), 0);
+    }
+
+    #[test]
+    fn qualified_bid_carries_round_time() {
+        let precomp = SweepPrecomp::new(&gates_instance(QualifyMode::Intent));
+        assert!((precomp.qualify_at(4).bids()[0].round_time - 35.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn min_horizon_rounds_up() {
+        let inst = gates_instance(QualifyMode::Intent);
+        // θ_min = 0.3 → 1/0.7 ≈ 1.43 → T_0 = 2.
+        assert_eq!(min_horizon(&inst), Some(2));
+        let empty = Instance::new(AuctionConfig::paper_default());
+        assert_eq!(min_horizon(&empty), None);
+    }
+
+    #[test]
+    fn min_horizon_exact_integer_boundary() {
+        let cfg = AuctionConfig::builder()
+            .max_rounds(10)
+            .clients_per_round(1)
+            .build()
+            .unwrap();
+        let mut inst = Instance::new(cfg);
+        let c = inst.add_client(ClientProfile::new(1.0, 1.0).unwrap());
+        // θ = 0.5 → 1/(1−θ) = 2 exactly.
+        inst.add_bid(
+            c,
+            Bid::new(1.0, 0.5, Window::new(Round(1), Round(2)), 1).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(min_horizon(&inst), Some(2));
     }
 
     #[test]
@@ -442,7 +549,7 @@ mod tests {
             Bid::new(4.0, 0.8, Window::new(Round(1), Round(5)), 5).unwrap(),
         )
         .unwrap();
-        assert_eq!(crate::qualify::min_horizon(&inst), Some(5));
+        assert_eq!(min_horizon(&inst), Some(5));
         let precomp = SweepPrecomp::new(&inst);
         assert_eq!(precomp.horizon_cap(), 5);
         assert_eq!(precomp.qualify_at(4).bids().len(), 0);
@@ -457,7 +564,8 @@ mod tests {
         let precomp = SweepPrecomp::new(&inst);
         for (bid_ref, _) in inst.iter_bids() {
             let first = (1..=inst.config().max_rounds()).find(|&h| {
-                qualify(&inst, h)
+                precomp
+                    .qualify_at(h)
                     .bids()
                     .iter()
                     .any(|b| b.bid_ref == bid_ref)

@@ -23,7 +23,7 @@
 
 use crate::auction::AuctionOutcome;
 use crate::bid::Instance;
-use crate::qualify::qualify;
+use crate::preprocess::SweepPrecomp;
 use crate::types::{BidRef, Round};
 use fl_telemetry::{counter, sample, span};
 
@@ -131,10 +131,16 @@ impl StandbyPool {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// # Panics
+///
+/// Panics if the outcome's horizon lies outside `1..=T` of `instance`,
+/// which no outcome of [`run_auction`](crate::run_auction) on `instance`
+/// does.
 pub fn standby_pool(instance: &Instance, outcome: &AuctionOutcome) -> StandbyPool {
     let horizon = outcome.horizon();
     let _span = span!("standby_pool", tg = horizon);
-    let wdp = qualify(instance, horizon);
+    let wdp = SweepPrecomp::new(instance).qualify_at(horizon);
     let winning_clients: std::collections::HashSet<u32> = outcome
         .solution()
         .winners()

@@ -169,8 +169,8 @@ pub fn myerson_payments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qualify::QualifiedBid;
     use crate::types::{ClientId, Round, Window};
+    use crate::wdp::QualifiedBid;
 
     fn qb(client: u32, price: f64, a: u32, d: u32, c: u32) -> QualifiedBid {
         QualifiedBid {

@@ -9,6 +9,7 @@ use std::collections::HashSet;
 
 use crate::auction::AuctionOutcome;
 use crate::bid::Instance;
+use crate::preprocess::SweepPrecomp;
 use crate::wdp::{Wdp, WdpSolution};
 use fl_telemetry::{counter, span, warn};
 
@@ -104,7 +105,7 @@ pub fn outcome_violations(instance: &Instance, outcome: &AuctionOutcome) -> Vec<
         return report("verify.outcome_violations", bad);
     }
     // Feasibility with respect to the qualified WDP at the chosen horizon.
-    let wdp = crate::qualify::qualify(instance, horizon);
+    let wdp = SweepPrecomp::new(instance).qualify_at(horizon);
     bad.extend(wdp_violations(&wdp, outcome.solution()));
     // Constraint (6b): every winner's accuracy respects T_g ≥ 1/(1−θ).
     let theta_max = 1.0 - 1.0 / f64::from(horizon);

@@ -6,8 +6,29 @@
 //! (ILP (7) in the paper, after the compact-exponential reformulation).
 
 use crate::error::WdpError;
-use crate::qualify::QualifiedBid;
-use crate::types::{BidRef, Round};
+use crate::types::{BidRef, Round, Window};
+
+/// One bid together with the per-horizon data the solvers need: a row of
+/// a [`Wdp`], as [`SweepPrecomp::qualify_at`] emits it.
+///
+/// This is a passive record; fields are public on purpose.
+///
+/// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QualifiedBid {
+    /// Which submitted bid this is.
+    pub bid_ref: BidRef,
+    /// Claimed cost `b_ij`.
+    pub price: f64,
+    /// Local accuracy `θ_ij`.
+    pub accuracy: f64,
+    /// Availability window clipped to the WDP horizon.
+    pub window: Window,
+    /// Participation rounds `c_ij`.
+    pub rounds: u32,
+    /// Per-round wall clock `t_ij` under the instance's local model.
+    pub round_time: f64,
+}
 
 /// One WDP instance: a horizon, the per-round demand, and the qualified
 /// bids admitted for this horizon.
@@ -61,13 +82,12 @@ impl Wdp {
     /// client's windows are merged into disjoint intervals, every merged
     /// interval adds +1 at its start and −1 one past its end, and a prefix
     /// sum yields the per-round count. Rows sorted by client — the
-    /// client-major order [`SweepPrecomp::qualify_at`] and
-    /// [`qualify()`](crate::qualify()) emit — are consumed in one pass,
-    /// one client run at a time: `O(N log J + T̂_g)` for `N` bids of at
-    /// most `J` per client, with no per-call buffer of size `N`. Rows in
-    /// any other order (hand-built instances, baselines) are sorted by
-    /// client first. The per-round `HashSet` reference lives in
-    /// `fl-certify`.
+    /// client-major order [`SweepPrecomp::qualify_at`] emits — are
+    /// consumed in one pass, one client run at a time: `O(N log J + T̂_g)`
+    /// for `N` bids of at most `J` per client, with no per-call buffer of
+    /// size `N`. Rows in any other order (hand-built instances, baselines)
+    /// are sorted by client first. The per-round `HashSet` reference lives
+    /// in `fl-certify`.
     ///
     /// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
     pub fn obviously_infeasible(&self) -> bool {
@@ -325,7 +345,7 @@ impl<S: WdpSolver + ?Sized> WdpSolver for &S {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ClientId, Window};
+    use crate::types::ClientId;
 
     fn qb(client: u32, bid: u32, price: f64, a: u32, d: u32, c: u32) -> QualifiedBid {
         QualifiedBid {

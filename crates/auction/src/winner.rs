@@ -513,8 +513,8 @@ fn psi_bounds(wdp: &Wdp) -> (Vec<f64>, Vec<f64>) {
 mod tests {
     use super::*;
     use crate::coverage::Coverage;
-    use crate::qualify::QualifiedBid;
     use crate::types::{BidRef, ClientId, Window};
+    use crate::wdp::QualifiedBid;
 
     fn qb(client: u32, bid: u32, price: f64, a: u32, d: u32, c: u32) -> QualifiedBid {
         QualifiedBid {

@@ -1,10 +1,11 @@
-//! Crate-level property tests for `fl-auction`: qualification is exactly
-//! the published predicate, `A_winner` outputs are always feasible, and
-//! payments always cover prices.
+//! Crate-level property tests for `fl-auction`: qualification
+//! (`SweepPrecomp::qualify_at`, the sweeps' path) is exactly the published
+//! predicate, `A_winner` outputs are always feasible, and payments always
+//! cover prices.
 
 use fl_auction::{
-    qualify, AWinner, AuctionConfig, Bid, ClientProfile, Instance, QualifyMode, Round, WdpSolver,
-    Window,
+    AWinner, AuctionConfig, Bid, ClientProfile, Instance, QualifyMode, Round, SweepPrecomp,
+    WdpSolver, Window,
 };
 use proptest::prelude::*;
 
@@ -83,7 +84,7 @@ proptest! {
         horizon in 2u32..10,
     ) {
         let inst = build(&raw, 60.0, QualifyMode::Intent);
-        let wdp = qualify(&inst, horizon);
+        let wdp = SweepPrecomp::new(&inst).qualify_at(horizon);
         let theta_max = 1.0 - 1.0 / f64::from(horizon);
         let mut expected = 0usize;
         for (bid_ref, bid) in inst.iter_bids() {
@@ -119,7 +120,7 @@ proptest! {
         horizon in 2u32..10,
     ) {
         let inst = build(&raw, 1_000.0, QualifyMode::Intent);
-        let wdp = qualify(&inst, horizon);
+        let wdp = SweepPrecomp::new(&inst).qualify_at(horizon);
         if let Ok(sol) = AWinner::new().solve_wdp(&wdp) {
             let bad = fl_auction::verify::wdp_violations(&wdp, &sol);
             prop_assert!(bad.is_empty(), "{bad:?}");
@@ -140,8 +141,8 @@ proptest! {
     ) {
         let intent = build(&raw, 60.0, QualifyMode::Intent);
         let literal = build(&raw, 60.0, QualifyMode::Literal);
-        let qi = qualify(&intent, horizon);
-        let ql = qualify(&literal, horizon);
+        let qi = SweepPrecomp::new(&intent).qualify_at(horizon);
+        let ql = SweepPrecomp::new(&literal).qualify_at(horizon);
         for qb in ql.bids() {
             prop_assert!(
                 qi.bids().iter().any(|b| b.bid_ref == qb.bid_ref),

@@ -5,7 +5,7 @@
 //! versus solving only at `T̂_g = T` (the announced maximum) and only at
 //! `T̂_g = T_0` (the smallest admissible horizon).
 
-use fl_auction::{min_horizon, qualify, AWinner, WdpSolver};
+use fl_auction::{min_horizon, AWinner, SweepPrecomp, WdpSolver};
 use fl_bench::{results_dir, Algo, Summary, Table};
 use fl_workload::{CostModel, WorkloadSpec};
 
@@ -26,11 +26,12 @@ fn main() {
             enumerated.push(out.social_cost());
         }
         let t0 = min_horizon(&inst).expect("instance has bids");
+        let precomp = SweepPrecomp::new(&inst);
         let solver = AWinner::new().without_certificate();
-        if let Ok(sol) = solver.solve_wdp(&qualify(&inst, t0)) {
+        if let Ok(sol) = solver.solve_wdp(&precomp.qualify_at(t0)) {
             at_t0.push(sol.cost());
         }
-        if let Ok(sol) = solver.solve_wdp(&qualify(&inst, inst.config().max_rounds())) {
+        if let Ok(sol) = solver.solve_wdp(&precomp.qualify_at(inst.config().max_rounds())) {
             at_t_max.push(sol.cost());
         }
     }

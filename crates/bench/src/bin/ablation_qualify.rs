@@ -6,7 +6,7 @@
 //! truncated window must hold `c_ij` rounds). This ablation runs both and
 //! reports qualified-bid counts and final costs.
 
-use fl_auction::{qualify, AuctionConfig, QualifyMode};
+use fl_auction::{AuctionConfig, QualifyMode, SweepPrecomp};
 use fl_bench::{results_dir, Algo, Summary, Table};
 use fl_workload::WorkloadSpec;
 
@@ -29,8 +29,9 @@ fn main() {
         let mut costs = Vec::new();
         for &seed in &seeds {
             let inst = spec.generate(seed).expect("paper spec is valid");
-            q10.push(qualify(&inst, 10).bids().len() as f64);
-            q50.push(qualify(&inst, 50).bids().len() as f64);
+            let precomp = SweepPrecomp::new(&inst);
+            q10.push(precomp.qualify_at(10).bids().len() as f64);
+            q50.push(precomp.qualify_at(50).bids().len() as f64);
             if let Ok(out) = Algo::Afl.run(&inst) {
                 costs.push(out.social_cost());
             }

@@ -5,6 +5,7 @@
 //! sorted marks pack tighter), so per-bid coverage drops while prices stay
 //! put.
 
+use fl_auction::{SweepPrecomp, Wdp};
 use fl_bench::{par_map, results_dir, Algo, Summary, Table};
 use fl_workload::WorkloadSpec;
 
@@ -66,16 +67,20 @@ fn main() {
     println!("\nFig. 6 companion: social cost vs J at fixed T_g = {fixed_tg}");
     let rows = par_map(j_values.clone(), |j| {
         let spec = WorkloadSpec::paper_default().with_bids_per_client(j);
+        let wdps: Vec<Wdp> = seeds
+            .iter()
+            .map(|&seed| {
+                let inst = spec.generate(seed).expect("paper spec is valid");
+                SweepPrecomp::new(&inst).qualify_at(fixed_tg)
+            })
+            .collect();
         let mut row = vec![j.to_string()];
         for algo in Algo::ALL {
-            let mut costs = Vec::new();
-            for &seed in &seeds {
-                let inst = spec.generate(seed).expect("paper spec is valid");
-                let wdp = fl_auction::qualify(&inst, fixed_tg);
-                if let Ok(sol) = algo.solve_wdp(&wdp) {
-                    costs.push(sol.cost());
-                }
-            }
+            let costs: Vec<f64> = wdps
+                .iter()
+                .filter_map(|wdp| algo.solve_wdp(wdp).ok())
+                .map(|sol| sol.cost())
+                .collect();
             row.push(if costs.is_empty() {
                 "n/a".into()
             } else {

@@ -13,7 +13,7 @@
 //! Both exhibit the dip-then-rise shape; the uniform model's minimum sits
 //! at a smaller `T̂_g` than the paper's 26 (see EXPERIMENTS.md).
 
-use fl_auction::{min_horizon, qualify};
+use fl_auction::{min_horizon, SweepPrecomp, Wdp};
 use fl_bench::{results_dir, Algo, Summary, Table};
 use fl_workload::{CostModel, WorkloadSpec};
 
@@ -21,23 +21,25 @@ fn run_model(name: &str, spec: &WorkloadSpec, seeds: &[u64], step: u32) -> Table
     let mut table = Table::new(
         std::iter::once("T_g".to_string()).chain(Algo::ALL.iter().map(|a| a.name().to_string())),
     );
-    // T_0 depends on θ_min of the realised instance; compute from seed 0's
-    // instance (θ range is identical across seeds).
-    let probe = spec.generate(seeds[0]).expect("spec is valid");
-    let t0 = min_horizon(&probe).expect("instance has bids");
+    let instances: Vec<_> = seeds
+        .iter()
+        .map(|&seed| spec.generate(seed).expect("spec is valid"))
+        .collect();
+    // T_0 depends on θ_min of the realised instance; compute from the first
+    // seed's instance (θ range is identical across seeds).
+    let t0 = min_horizon(&instances[0]).expect("instance has bids");
+    let precomps: Vec<SweepPrecomp> = instances.iter().map(SweepPrecomp::new).collect();
     let t_max = spec.config.max_rounds();
     let mut best = (0u32, f64::INFINITY);
     for horizon in (t0..=t_max).step_by(step as usize) {
+        let wdps: Vec<Wdp> = precomps.iter().map(|p| p.qualify_at(horizon)).collect();
         let mut row = vec![horizon.to_string()];
         for algo in Algo::ALL {
-            let mut costs = Vec::new();
-            for &seed in seeds {
-                let inst = spec.generate(seed).expect("spec is valid");
-                let wdp = qualify(&inst, horizon);
-                if let Ok(sol) = algo.solve_wdp(&wdp) {
-                    costs.push(sol.cost());
-                }
-            }
+            let costs: Vec<f64> = wdps
+                .iter()
+                .filter_map(|wdp| algo.solve_wdp(wdp).ok())
+                .map(|sol| sol.cost())
+                .collect();
             if costs.is_empty() {
                 row.push("n/a".into());
             } else {

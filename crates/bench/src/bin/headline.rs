@@ -6,8 +6,31 @@
 //! mean cost, the cost reduction `1 − cost(A_FL)/cost(benchmark)`, and the
 //! per-run approximation certificates (`H_{T̂_g}·ω` and the tighter `P/D`).
 
+use fl_auction::SweepPrecomp;
 use fl_bench::{results_dir, Algo, Summary, Table};
 use fl_workload::WorkloadSpec;
+
+/// One row per algorithm: its mean cost and `A_FL`'s reduction against it,
+/// or `n/a` when every run of the algorithm was excluded (`A_online` runs
+/// that used the offline completion pass).
+fn cost_table(costs: &[(Algo, Vec<f64>)]) -> Table {
+    let afl_mean = Summary::of(&costs[0].1).mean;
+    let mut table = Table::new(["algorithm", "mean cost", "reduction by A_FL"]);
+    for (algo, list) in costs {
+        if list.is_empty() {
+            table.push_row([algo.name().to_string(), "n/a".into(), "n/a".into()]);
+            continue;
+        }
+        let mean = Summary::of(list).mean;
+        let reduction = if *algo == Algo::Afl {
+            "—".to_string()
+        } else {
+            format!("{:.0}%", 100.0 * (1.0 - afl_mean / mean))
+        };
+        table.push_row([algo.name().to_string(), format!("{mean:.1}"), reduction]);
+    }
+    table
+}
 
 fn main() {
     let _telemetry = fl_bench::telemetry::init("headline");
@@ -50,17 +73,7 @@ fn main() {
         }
     }
 
-    let afl_mean = Summary::of(&costs[0].1).mean;
-    let mut table = Table::new(["algorithm", "mean cost", "reduction by A_FL"]);
-    for (algo, list) in &costs {
-        let mean = Summary::of(list).mean;
-        let reduction = if *algo == Algo::Afl {
-            "—".to_string()
-        } else {
-            format!("{:.0}%", 100.0 * (1.0 - afl_mean / mean))
-        };
-        table.push_row([algo.name().to_string(), format!("{mean:.1}"), reduction]);
-    }
+    let table = cost_table(&costs);
     println!("Headline claims ({} seeds, paper defaults):", seeds.len());
     print!("{}", table.render());
     if online_degraded > 0 {
@@ -95,7 +108,7 @@ fn main() {
     let mut fixed_degraded = 0usize;
     for &seed in &seeds {
         let inst = spec.generate(seed).expect("paper spec is valid");
-        let wdp = fl_auction::qualify(&inst, fixed_tg);
+        let wdp = SweepPrecomp::new(&inst).qualify_at(fixed_tg);
         for (algo, list) in fixed_costs.iter_mut() {
             if let Ok(sol) = algo.solve_wdp(&wdp) {
                 if *algo == Algo::Online && sol.is_degraded() {
@@ -106,21 +119,7 @@ fn main() {
             }
         }
     }
-    let afl_fixed = Summary::of(&fixed_costs[0].1).mean;
-    let mut fixed_table = Table::new(["algorithm", "mean cost", "reduction by A_FL"]);
-    for (algo, list) in &fixed_costs {
-        if list.is_empty() {
-            fixed_table.push_row([algo.name().to_string(), "n/a".into(), "n/a".into()]);
-            continue;
-        }
-        let mean = Summary::of(list).mean;
-        let reduction = if *algo == Algo::Afl {
-            "—".to_string()
-        } else {
-            format!("{:.0}%", 100.0 * (1.0 - afl_fixed / mean))
-        };
-        fixed_table.push_row([algo.name().to_string(), format!("{mean:.1}"), reduction]);
-    }
+    let fixed_table = cost_table(&fixed_costs);
     println!("\nSame claims at fixed T_g = {fixed_tg}:");
     print!("{}", fixed_table.render());
     if fixed_degraded > 0 {

@@ -38,6 +38,6 @@ pub mod telemetry;
 pub mod trajectory;
 
 pub use output::{results_dir, Table};
-pub use runner::{gen_prequalified_wdp, par_map, timed, wdp_at, Algo};
+pub use runner::{gen_prequalified_wdp, par_map, timed, Algo};
 pub use schema::{BenchRecord, SCHEMA_VERSION};
 pub use stats::Summary;

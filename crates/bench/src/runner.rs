@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use fl_auction::{
-    qualify, run_auction_with, AWinner, AuctionError, AuctionOutcome, BidRef, ClientId, Instance,
+    run_auction_with, AWinner, AuctionError, AuctionOutcome, BidRef, ClientId, Instance,
     QualifiedBid, Round, Wdp, WdpError, WdpSolution, WdpSolver, Window,
 };
 use fl_baselines::{FcfsBaseline, GreedyBaseline, OnlineBaseline};
@@ -99,12 +99,6 @@ where
     out.into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()
-}
-
-/// Builds the qualified WDP of `instance` at a fixed horizon (Fig. 7's
-/// per-`T̂_g` evaluation).
-pub fn wdp_at(instance: &Instance, horizon: u32) -> Wdp {
-    qualify(instance, horizon)
 }
 
 /// Generates a *pre-qualified* WDP for the Fig. 3 setting: every bid
@@ -233,16 +227,5 @@ mod tests {
         let par = par_map(xs, |x| x * x);
         assert_eq!(par, seq);
         assert!(par_map(Vec::<u64>::new(), |x| x).is_empty());
-    }
-
-    #[test]
-    fn wdp_at_matches_direct_qualification() {
-        let inst = WorkloadSpec::paper_default()
-            .with_clients(20)
-            .generate(1)
-            .unwrap();
-        let w = wdp_at(&inst, 10);
-        assert_eq!(w.horizon(), 10);
-        assert_eq!(w.bids().len(), fl_auction::qualify(&inst, 10).bids().len());
     }
 }

@@ -23,7 +23,7 @@ use std::time::Instant;
 use fl_auction::truthful::myerson_payments;
 use fl_auction::{
     run_auction_with, AWinner, AuctionConfig, EconomicHealth, Instance, MechanismStats,
-    OnlineAuction, SweepStrategy, WdpSolver,
+    OnlineAuction, SweepPrecomp, SweepStrategy, WdpSolver,
 };
 use fl_flpd::wire::{BidParams, OpenParams};
 use fl_flpd::{Client, ClientConfig, CloseReply, Daemon, DaemonConfig};
@@ -417,7 +417,7 @@ fn execute(kind: ScenarioKind, scale: &Scale) -> Result<EconomicHealth, String> 
             let health = EconomicHealth::of_outcome(&inst, &outcome);
             // Exact threshold re-pricing of every winner (Myerson
             // bisection) — the `truthful.bisection_probes` driver.
-            let wdp = crate::runner::wdp_at(&inst, outcome.horizon());
+            let wdp = SweepPrecomp::new(&inst).qualify_at(outcome.horizon());
             let repriced = myerson_payments(&wdp, outcome.solution(), MYERSON_CAP, 1e-7);
             if repriced.len() != outcome.solution().winners().len() {
                 return Err("Myerson re-pricing lost a winner".into());

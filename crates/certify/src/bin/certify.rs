@@ -226,6 +226,7 @@ fn known_property(name: &str) -> Option<&'static str> {
         prop::ONLINE_INCREMENTAL_BATCH,
         prop::FEASIBILITY_ORACLE,
         prop::OMEGA_ORACLE,
+        prop::QUALIFY_ORACLE,
     ]
     .into_iter()
     .find(|&code| code == name)

@@ -1,19 +1,89 @@
 //! Reference oracles for the per-horizon work that `fl_auction` runs on
 //! faster data structures.
 //!
-//! Each oracle is the direct reading of its definition: per round for the
-//! feasibility check and `ω`, per iteration over every bid for the greedy
-//! and its dual certificate. The property engine ([`crate::props`]) holds
-//! the production code to the first two at every candidate horizon, and
-//! `tests/columnar_equivalence.rs` holds it to all three on the
-//! certifier's shape families and on adversarial row orders.
+//! Each oracle is the direct reading of its definition: gate by gate per
+//! bid for qualification, per round for the feasibility check and `ω`,
+//! per iteration over every bid for the greedy and its dual certificate.
+//! The property engine ([`crate::props`]) holds the production code to the
+//! first three at every horizon, and `tests/columnar_equivalence.rs` holds
+//! it to all four on the certifier's shape families and on adversarial row
+//! orders.
 
 use std::collections::HashSet;
 
 use fl_auction::{
-    payment, pick_schedule, Coverage, DualCertificate, PaymentRule, Round, SchedulePolicy,
-    SelectionStep, Wdp, WdpError, WdpSolution, WinnerEntry,
+    payment, pick_schedule, Coverage, DualCertificate, Instance, PaymentRule, QualifiedBid,
+    QualifyMode, Round, SchedulePolicy, SelectionStep, Wdp, WdpError, WdpSolution, WinnerEntry,
 };
+
+/// Per-gate tallies of one [`qualify`] call. Each rejected bid is charged
+/// to the first gate it fails, in the order accuracy, time, window.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QualifyCounts {
+    /// Bids looked at: every bid of the instance.
+    pub examined: u64,
+    /// Rejected by the accuracy gate.
+    pub rejected_accuracy: u64,
+    /// Rejected by the time gate.
+    pub rejected_time: u64,
+    /// Rejected by the window gate.
+    pub rejected_window: u64,
+    /// Admitted into the WDP.
+    pub accepted: u64,
+}
+
+/// The qualified bid set `J_{T̂_g}` of Alg. 1 lines 4–6, read gate by gate
+/// for every bid in instance order: the accuracy `θ ≤ 1 − 1/T̂_g` and the
+/// per-round time `t_ij ≤ t_max`, both with `1e-9` slack, then the window
+/// truncated to `[1, T̂_g]`, which must hold `c` rounds under
+/// [`QualifyMode::Intent`], or satisfy the literal line 6, `a + c ≤ T̂_g`,
+/// under [`QualifyMode::Literal`]. Emits no telemetry and returns the
+/// rejection counts instead. The reference for `SweepPrecomp::qualify_at`.
+///
+/// # Panics
+///
+/// Panics if `horizon` is zero.
+pub fn qualify(instance: &Instance, horizon: u32) -> (Wdp, QualifyCounts) {
+    let theta_max = 1.0 - 1.0 / f64::from(horizon);
+    let t_max = instance.config().round_time_limit();
+    let mode = instance.config().qualify_mode();
+    let mut counts = QualifyCounts::default();
+    let mut bids = Vec::new();
+    for (bid_ref, bid) in instance.iter_bids() {
+        counts.examined += 1;
+        if bid.accuracy() > theta_max + 1e-9 {
+            counts.rejected_accuracy += 1;
+            continue;
+        }
+        let round_time = instance.round_time(bid_ref);
+        if round_time > t_max + 1e-9 {
+            counts.rejected_time += 1;
+            continue;
+        }
+        let window = bid
+            .window()
+            .truncate(Round(horizon))
+            .filter(|w| match mode {
+                QualifyMode::Intent => w.len() >= bid.rounds(),
+                QualifyMode::Literal => bid.window().start().0 + bid.rounds() <= horizon,
+            });
+        let Some(window) = window else {
+            counts.rejected_window += 1;
+            continue;
+        };
+        bids.push(QualifiedBid {
+            bid_ref,
+            price: bid.price(),
+            accuracy: bid.accuracy(),
+            window,
+            rounds: bid.rounds(),
+            round_time,
+        });
+    }
+    counts.accepted = bids.len() as u64;
+    let k = instance.config().clients_per_round();
+    (Wdp::new(horizon, k, bids), counts)
+}
 
 /// Whether some round of `wdp` lies inside fewer than `K` windows of
 /// *distinct* clients: one `HashSet` of client ids per round, filled from

@@ -1,7 +1,9 @@
 //! The property engine: every mechanism invariant, checked per instance.
 //!
 //! [`check`] runs three families of properties against one
-//! [`CertInstance`]:
+//! [`CertInstance`], every per-horizon check on the WDPs production
+//! solves (one [`SweepPrecomp`] per instance, read through
+//! [`qualify_at`](SweepPrecomp::qualify_at)):
 //!
 //! 1. **Differential optimality** — per candidate horizon, the greedy
 //!    `A_winner` social cost is compared against the exact solvers
@@ -21,9 +23,10 @@
 //!    individual rationality, the Alg. 3 payment identity
 //!    `payment = gain · critical_avg` replayed from the selection trace,
 //!    consistency of `run_auction`'s horizon pick with a manual fold
-//!    over the sweep, and, at every candidate horizon, the linear-time
+//!    over the sweep, at every candidate horizon the linear-time
 //!    feasibility check and certificate `ω` against their per-round
-//!    [`crate::oracle`]s.
+//!    [`crate::oracle`]s, and at every horizon `1..=T` the qualified set
+//!    against the gate-by-gate [`oracle::qualify`].
 //!
 //! A documented non-bug is classified as a statistic, not a violation:
 //! greedy `A_winner` can stall (report infeasible) on instances the exact
@@ -41,9 +44,9 @@ use std::collections::HashSet;
 
 use fl_auction::truthful::{deviation_outcome, myerson_payment, wins_at, DeviationOutcome};
 use fl_auction::{
-    min_horizon, qualify, run_auction, verify, AWinner, AuctionError, Bid, BidRef, ClientId,
-    ClientProfile, DecisionReason, OnlineAuction, OnlineDecision, Round, SweepPrecomp, Wdp,
-    WdpError, WdpSolution, WdpSolver, Window,
+    min_horizon, run_auction, verify, AWinner, AuctionError, Bid, BidRef, ClientId, ClientProfile,
+    DecisionReason, Instance, OnlineAuction, OnlineDecision, Round, SweepPrecomp, Wdp, WdpError,
+    WdpSolution, WdpSolver, Window,
 };
 use fl_exact::{BruteForceSolver, ExactSolver, Optimality, ProvingWdpSolver};
 
@@ -125,6 +128,9 @@ pub mod prop {
     /// The certificate's `ω` is not bit-identical to the per-round rescan
     /// ([`crate::oracle::omega`]).
     pub const OMEGA_ORACLE: &str = "certificate_omega_vs_oracle";
+    /// `SweepPrecomp::qualify_at` differs from the gate-by-gate
+    /// [`crate::oracle::qualify`] in bids, order or truncated windows.
+    pub const QUALIFY_ORACLE: &str = "qualify_vs_oracle";
 }
 
 /// One failed property with human-readable context.
@@ -229,12 +235,15 @@ pub fn check(ci: &CertInstance) -> Report {
         };
     };
 
+    let precomp = SweepPrecomp::new(&instance);
+    check_qualify_oracle(&instance, &precomp, &mut v);
+
     // Per-horizon differential sweep (Alg. 1's loop, re-derived manually
     // so run_auction's own pick can be cross-checked below).
     let greedy = AWinner::new();
     let mut best: Option<(u32, f64)> = None;
     for h in t0..=t {
-        let wdp = qualify(&instance, h);
+        let wdp = precomp.qualify_at(h);
         check_feasibility_oracle(&wdp, &mut v);
         if wdp.bids().is_empty() {
             continue;
@@ -291,7 +300,7 @@ pub fn check(ci: &CertInstance) -> Report {
                 outcome.horizon(),
                 verify::outcome_violations(&instance, &outcome),
             );
-            let wdp = qualify(&instance, outcome.horizon());
+            let wdp = precomp.qualify_at(outcome.horizon());
             check_payment_identity(&wdp, outcome.solution(), &mut v);
             check_truthfulness(&wdp, outcome.solution(), &mut v, &mut stats);
         }
@@ -314,6 +323,26 @@ pub fn check(ci: &CertInstance) -> Report {
     Report {
         violations: v,
         stats,
+    }
+}
+
+/// Holds `precomp`'s qualified set to the gate-by-gate oracle at every
+/// horizon `1..=T`: the same bids, in the same order, with the same
+/// truncated windows.
+fn check_qualify_oracle(instance: &Instance, precomp: &SweepPrecomp, v: &mut Vec<Violation>) {
+    for h in 1..=precomp.horizon_cap() {
+        let (expected, _) = oracle::qualify(instance, h);
+        let got = precomp.qualify_at(h);
+        if got.bids() != expected.bids() {
+            v.push(Violation {
+                property: prop::QUALIFY_ORACLE,
+                detail: format!(
+                    "T_g={h}: qualify_at admitted {} bid(s), the oracle {}, and they differ",
+                    got.bids().len(),
+                    expected.bids().len()
+                ),
+            });
+        }
     }
 }
 
@@ -378,7 +407,10 @@ fn check_omega_oracle(wdp: &Wdp, sol: &WdpSolution, v: &mut Vec<Violation>) {
 ///   with a fresh [`SweepPrecomp::empty`] fed the stream's distinct
 ///   arrivals in arrival order (which recomputes every threshold), and
 ///   each bid's [`admission_horizon`](SweepPrecomp::admission_horizon)
-///   must match [`SweepPrecomp::new`] over the grown instance.
+///   must match [`SweepPrecomp::new`] over the grown instance. The fresh
+///   precomp's lower bounds are also read after every insert and held to
+///   a precomp built afresh from that arrival prefix, so a lower-bound
+///   order that an insert leaves stale shows.
 fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &mut Stats) {
     let full = match stream(ci, budget, ci.bids.len(), None) {
         Ok(run) => run,
@@ -427,9 +459,28 @@ fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &
     let instance = full.online.instance();
     let precomp = full.online.precomp();
     let mut fresh = SweepPrecomp::empty(instance.config());
+    let mut prefix = Vec::new();
     for d in full.decisions.iter().filter(|d| !d.duplicate) {
         let bid_ref = d.bid_ref;
         fresh.insert(bid_ref, instance.bid(bid_ref), instance.round_time(bid_ref));
+        prefix.push(bid_ref);
+        let mut afresh = SweepPrecomp::empty(instance.config());
+        for &r in &prefix {
+            afresh.insert(r, instance.bid(r), instance.round_time(r));
+        }
+        for h in 1..=ci.t {
+            let (lb, lb_afresh) = (fresh.cost_lower_bound(h), afresh.cost_lower_bound(h));
+            if lb.to_bits() != lb_afresh.to_bits() {
+                v.push(Violation {
+                    property: prop::ONLINE_INCREMENTAL_BATCH,
+                    detail: format!(
+                        "after {} insert(s), T̂={h}: lower bound {lb} vs {lb_afresh} \
+                         from a precomp built afresh",
+                        prefix.len()
+                    ),
+                });
+            }
+        }
     }
     for h in 1..=ci.t {
         let inc = precomp.qualify_at(h);

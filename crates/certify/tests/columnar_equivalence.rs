@@ -8,37 +8,94 @@
 //! WDPs, under both schedule policies, and requires bit-identical
 //! feasibility verdicts, winners, schedules, payments, dual certificates
 //! and selection traces. It also property-tests the `ColumnarBids` round-trip on the
-//! same qualified bid sets, and holds the difference-array
+//! same qualified bid sets, holds the difference-array
 //! `Wdp::obviously_infeasible` to its per-round `HashSet` oracle on raw
-//! rows whose clients arrive interleaved.
+//! rows whose clients arrive interleaved, and holds
+//! `SweepPrecomp::qualify_at` and its `qualify.*` counters to the
+//! gate-by-gate [`oracle::qualify`] in both qualify modes.
 
-use fl_certify::{generate, oracle, Shape, SplitMix64};
+use std::sync::Arc;
+
+use fl_certify::{generate, oracle, CertInstance, Shape, SplitMix64};
 
 use fl_auction::{
-    qualify, AWinner, BidRef, ClientId, ColumnarBids, QualifiedBid, Round, SchedulePolicy, Wdp,
-    Window,
+    AWinner, BidRef, ClientId, ColumnarBids, QualifiedBid, QualifyMode, Round, SchedulePolicy,
+    SweepPrecomp, Wdp, Window,
 };
+use fl_telemetry::{install_local, Recorder};
 
 /// Enough seeds that every one of the 7 shape families appears many times
 /// (the shape is the first draw of the seeded generator).
 const SEEDS: u64 = 350;
 
-/// Every (seed, horizon) qualified WDP of the generator's families.
-fn for_each_wdp(mut f: impl FnMut(u64, &str, u32, &Wdp)) {
+/// Every generated instance of the seed range.
+fn for_each_instance(mut f: impl FnMut(u64, &CertInstance)) {
     let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for seed in 0..SEEDS {
         let cert = generate(seed);
         seen.insert(cert.shape.clone());
-        let inst = cert.to_instance().expect("generated instances are valid");
-        for horizon in 1..=cert.t {
-            let wdp = qualify(&inst, horizon);
-            f(seed, &cert.shape, horizon, &wdp);
-        }
+        f(seed, &cert);
     }
     let all: Vec<&str> = Shape::ALL.iter().map(|s| s.name()).collect();
     for name in all {
         assert!(seen.contains(name), "seed range never produced {name:?}");
     }
+}
+
+/// Every (seed, horizon) qualified WDP of the generator's families.
+fn for_each_wdp(mut f: impl FnMut(u64, &str, u32, &Wdp)) {
+    for_each_instance(|seed, cert| {
+        let inst = cert.to_instance().expect("generated instances are valid");
+        let precomp = SweepPrecomp::new(&inst);
+        for horizon in 1..=cert.t {
+            f(seed, &cert.shape, horizon, &precomp.qualify_at(horizon));
+        }
+    });
+}
+
+#[test]
+fn qualify_at_matches_the_gate_by_gate_oracle_on_all_shape_families() {
+    let mut admitted = 0;
+    for_each_instance(|seed, cert| {
+        for mode in [QualifyMode::Intent, QualifyMode::Literal] {
+            let cert = CertInstance {
+                qualify: mode,
+                ..cert.clone()
+            };
+            let inst = cert.to_instance().expect("generated instances are valid");
+            let precomp = SweepPrecomp::new(&inst);
+            for horizon in 1..=cert.t {
+                let ctx = format!("seed {seed} ({}) {mode:?} T̂_g={horizon}", cert.shape);
+                let (expected, counts) = oracle::qualify(&inst, horizon);
+                let recorder = Arc::new(Recorder::default());
+                let guard = install_local(recorder.clone());
+                let wdp = precomp.qualify_at(horizon);
+                drop(guard);
+                assert_eq!(wdp.bids(), expected.bids(), "{ctx}: qualified sets diverge");
+                let counters = recorder.snapshot().counters;
+                let got = |name: &str| counters.get(name).copied().unwrap_or(0);
+                assert_eq!(
+                    [
+                        got("qualify.examined"),
+                        got("qualify.rejected_accuracy"),
+                        got("qualify.rejected_time"),
+                        got("qualify.rejected_window"),
+                        got("qualify.accepted"),
+                    ],
+                    [
+                        counts.examined,
+                        counts.rejected_accuracy,
+                        counts.rejected_time,
+                        counts.rejected_window,
+                        counts.accepted,
+                    ],
+                    "{ctx}: gate counters diverge"
+                );
+                admitted += wdp.bids().len();
+            }
+        }
+    });
+    assert!(admitted >= 1_000, "only {admitted} qualified bids compared");
 }
 
 /// 60 seeded WDPs (`T̂_g` 3–10, `K` 1–3, 6–25 rows, two bids per client)

@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn monopolist_wins_when_its_round_is_demanded() {
-        use fl_auction::{qualify, AWinner, WdpSolver};
+        use fl_auction::{AWinner, SweepPrecomp, WdpSolver};
         let inst = monopolist_round(6, 5).unwrap();
         // The full auction dodges the monopolist by shrinking the horizon…
         let outcome = run_auction(&inst).unwrap();
@@ -129,7 +129,7 @@ mod tests {
             "A_FL avoids the monopolist's round entirely"
         );
         // …but at the full horizon, round 5 forces it in, at whatever price.
-        let wdp = qualify(&inst, 5);
+        let wdp = SweepPrecomp::new(&inst).qualify_at(5);
         let sol = AWinner::new().solve_wdp(&wdp).unwrap();
         let monopolist = ClientId(6);
         let w = sol
@@ -179,9 +179,9 @@ mod tests {
     fn staircase_is_tight_at_full_horizon() {
         // At fixed T̂_g = T, all K·T specialists win; removing any client
         // breaks coverage — exercised via the qualified WDP.
-        use fl_auction::{qualify, AWinner, WdpSolver};
+        use fl_auction::{AWinner, SweepPrecomp, WdpSolver};
         let inst = staircase(4, 1).unwrap();
-        let wdp = qualify(&inst, 4);
+        let wdp = SweepPrecomp::new(&inst).qualify_at(4);
         let sol = AWinner::new().solve_wdp(&wdp).unwrap();
         assert_eq!(sol.winners().len(), 4);
     }

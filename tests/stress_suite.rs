@@ -7,7 +7,9 @@
 //! checks the universal contracts: outputs verify against ILP (6), costs
 //! order sanely (`OPT ≤ refined ≤ greedy`), and determinism holds.
 
-use fl_procurement::auction::{qualify, run_auction_with, verify, AWinner, Instance, WdpSolver};
+use fl_procurement::auction::{
+    run_auction_with, verify, AWinner, Instance, SweepPrecomp, WdpSolver,
+};
 use fl_procurement::baselines::{FcfsBaseline, GreedyBaseline, OnlineBaseline};
 use fl_procurement::exact::{ExactSolver, RefineSolver};
 use fl_procurement::workload::stress;
@@ -104,7 +106,7 @@ fn monopolist_payments_across_rules() {
     use fl_procurement::exact::vcg;
 
     let inst = stress::monopolist_round(6, 5).unwrap();
-    let wdp = qualify(&inst, 5);
+    let wdp = SweepPrecomp::new(&inst).qualify_at(5);
     let sol = AWinner::new()
         .solve_wdp(&wdp)
         .expect("feasible at full horizon");
