@@ -109,6 +109,12 @@
 //! intrinsic invalidation pressure (≈ 5× iterations on Fig. 3, whose
 //! narrow windows put `c` near the window width) instead of queue
 //! staleness bookkeeping.
+//!
+//! The seed reads neither the loads nor the index: before the first
+//! selection no round is saturated, so every bid's gain is
+//! `min(c, d − a + 1)` under either schedule policy. The seed entries are
+//! heapified in one bottom-up pass ([`LazyHeap::fill`], `O(n)`) instead of
+//! `n` pushes; live keys are unique, so the pop sequence is the same.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -392,6 +398,18 @@ impl LazyHeap {
         self.slots.reserve(n.saturating_sub(self.slots.capacity()));
     }
 
+    /// Replaces the contents with `slots` and restores the heap order in
+    /// one bottom-up pass (Floyd's heapify): `O(n)` instead of the
+    /// `O(n log n)` of `n` pushes. With unique keys the pop sequence is
+    /// the same either way.
+    pub fn fill(&mut self, slots: impl IntoIterator<Item = HeapSlot>) {
+        self.slots.clear();
+        self.slots.extend(slots);
+        for i in (0..self.slots.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
     /// Inserts an entry.
     pub fn push(&mut self, slot: HeapSlot) {
         self.slots.push(slot);
@@ -614,6 +632,51 @@ mod tests {
         assert_eq!(order, vec![3, 4, 2, 1]);
         assert!(heap.is_empty());
         assert!(heap.pop().is_none());
+    }
+
+    #[test]
+    fn heapify_pops_the_same_sequence_as_pushes() {
+        let mut state = 0x4ea9u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let slot = |avg: f64, price: f64, client: u32, idx: u32| HeapSlot {
+            avg,
+            price,
+            bid_ref: BidRef::new(ClientId(client), idx),
+            idx,
+            gain: 1,
+            stamp: 0,
+        };
+        for n in [0, 1, 2, 3, 7, 64, 1_000] {
+            // Few distinct averages and prices, so the ties reach
+            // `bid_ref`; every `bid_ref` is unique.
+            let slots: Vec<HeapSlot> = (0..n)
+                .map(|i| {
+                    slot(
+                        (next() % 5) as f64 * 0.5,
+                        (next() % 3) as f64,
+                        (next() % 50) as u32,
+                        i,
+                    )
+                })
+                .collect();
+            let mut pushed = LazyHeap::default();
+            for &s in &slots {
+                pushed.push(s);
+            }
+            let mut filled = LazyHeap::default();
+            filled.push(slot(-1.0, 0.0, 0, u32::MAX)); // `fill` must drop it
+            filled.fill(slots.iter().copied());
+            assert_eq!(filled.len(), n as usize, "fill replaces the contents");
+            let drain = |heap: &mut LazyHeap| -> Vec<u32> {
+                std::iter::from_fn(|| heap.pop()).map(|s| s.idx).collect()
+            };
+            assert_eq!(drain(&mut filled), drain(&mut pushed), "{n} slots");
+        }
     }
 
     #[test]

@@ -46,10 +46,10 @@ const NEVER: u32 = u32::MAX;
 /// Per-bid admissibility data precomputed once per sweep, stored as
 /// parallel columns (one entry per bid, instance order) in the same
 /// struct-of-arrays style as [`crate::columnar`]: the per-horizon
-/// qualification scan of [`SweepPrecomp::qualify_at`] reads only the
-/// threshold columns until a bid is admitted, so rejected bids cost three
-/// contiguous-array compares instead of dragging a full record through
-/// the cache.
+/// qualification scan of [`SweepPrecomp::qualify_at`] admits a bid on one
+/// compare against `min_admissible` and counts the accuracy and time
+/// rejections from two more columns without branching, so a rejected bid
+/// never drags a full record through the cache.
 #[derive(Debug, Clone, Default)]
 struct PrecompColumns {
     bid_refs: Vec<BidRef>,
@@ -64,16 +64,29 @@ struct PrecompColumns {
     /// Smallest horizon passing the accuracy gate `θ ≤ 1 − 1/T̂_g + ε`
     /// ([`NEVER`] if none within the sweep).
     h_accuracy: Vec<u32>,
-    /// Smallest horizon passing the window gate under the instance's
-    /// [`QualifyMode`].
-    h_window: Vec<u32>,
-    /// Smallest horizon at which the bid qualifies outright, or [`NEVER`].
+    /// Smallest horizon at which the bid passes all three gates, or
+    /// [`NEVER`].
     min_admissible: Vec<u32>,
     /// Average per-scheduled-round cost `b_ij / c_ij`.
     avg: Vec<f64>,
 }
 
 impl PrecompColumns {
+    fn with_capacity(n: usize) -> PrecompColumns {
+        PrecompColumns {
+            bid_refs: Vec::with_capacity(n),
+            prices: Vec::with_capacity(n),
+            accuracies: Vec::with_capacity(n),
+            windows: Vec::with_capacity(n),
+            rounds: Vec::with_capacity(n),
+            round_times: Vec::with_capacity(n),
+            time_ok: Vec::with_capacity(n),
+            h_accuracy: Vec::with_capacity(n),
+            min_admissible: Vec::with_capacity(n),
+            avg: Vec::with_capacity(n),
+        }
+    }
+
     fn len(&self) -> usize {
         self.bid_refs.len()
     }
@@ -86,10 +99,10 @@ impl PrecompColumns {
 /// depend on `T̂_g` at all, and the truncated window only gains rounds. A
 /// bid's qualification status therefore flips from rejected to accepted at
 /// exactly one threshold horizon, which this type computes once per bid
-/// (binary-searching the accuracy gate along the *identical*
-/// floating-point comparison a per-horizon check evaluates). After that,
-/// [`SweepPrecomp::qualify_at`] builds any horizon's qualified set by
-/// threshold comparison, in `O(bids)` with no float re-derivation.
+/// (walking the accuracy gate from its real-valued boundary along the
+/// *identical* floating-point comparison a per-horizon check evaluates).
+/// After that, [`SweepPrecomp::qualify_at`] builds any horizon's qualified
+/// set by threshold comparison, in `O(bids)` with no float re-derivation.
 ///
 /// The thresholds also yield [`SweepPrecomp::cost_lower_bound`], the
 /// admissible-average-cost bound `A_FL` uses to skip horizons that provably
@@ -114,10 +127,9 @@ pub struct SweepPrecomp {
     t_max: f64,
     mode: QualifyMode,
     cols: PrecompColumns,
-    /// Indices of admissible entries sorted by `(avg, slot)`, for the
-    /// lower bound's cheapest-slot scan. Filled by `avg_order()`, emptied
-    /// by `insert`.
-    by_avg: OnceLock<Vec<usize>>,
+    /// Admissible slots in `(avg, slot)` order, for the lower bound's
+    /// cheapest-slot scan. Filled by `avg_order()`, emptied by `insert`.
+    by_avg: OnceLock<Vec<u32>>,
 }
 
 impl SweepPrecomp {
@@ -140,6 +152,7 @@ impl SweepPrecomp {
     /// traces only the [`qualify_at`](SweepPrecomp::qualify_at) it runs.
     pub fn new(instance: &Instance) -> SweepPrecomp {
         let mut precomp = Self::empty(instance.config());
+        precomp.cols = PrecompColumns::with_capacity(instance.num_bids());
         for (bid_ref, bid) in instance.iter_bids() {
             precomp.push_columns(bid_ref, bid, instance.round_time(bid_ref));
         }
@@ -173,7 +186,6 @@ impl SweepPrecomp {
         self.cols.round_times.push(round_time);
         self.cols.time_ok.push(time_ok);
         self.cols.h_accuracy.push(h_accuracy);
-        self.cols.h_window.push(h_window);
         self.cols.min_admissible.push(min_admissible);
         self.cols.avg.push(bid.price() / f64::from(bid.rounds()));
     }
@@ -194,28 +206,27 @@ impl SweepPrecomp {
     /// must be deduplicated by the caller
     /// ([`crate::online::OnlineAuction`] keeps them idempotent).
     pub fn insert(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) {
-        assert!(
-            self.slot_of(bid_ref).is_none(),
-            "duplicate insert of bid {bid_ref}"
-        );
+        // A new ref is compared with every slot; for that full scan the
+        // forward `position` loop measured faster than `rposition` or `any`.
+        let slot = self.cols.bid_refs.iter().position(|&r| r == bid_ref);
+        assert!(slot.is_none(), "duplicate insert of bid {bid_ref}");
         self.push_columns(bid_ref, bid, round_time);
         self.by_avg.take();
     }
 
-    fn slot_of(&self, bid_ref: BidRef) -> Option<usize> {
-        self.cols.bid_refs.iter().position(|&r| r == bid_ref)
-    }
-
     /// The admissible slots in `(avg, slot)` order, built on first use
     /// after construction or the last [`insert`](SweepPrecomp::insert).
-    /// The stable sort keeps equal averages in slot order.
-    fn avg_order(&self) -> &[usize] {
+    /// The pairs `(avg_key(avg), slot)` are sorted unstably; the slot
+    /// breaks key ties, so the order is that of a stable `total_cmp` sort
+    /// on `avg`. Only the slots are kept, as `u32`.
+    fn avg_order(&self) -> &[u32] {
         self.by_avg.get_or_init(|| {
-            let mut order: Vec<usize> = (0..self.cols.len())
+            let mut keyed: Vec<(u64, u32)> = (0..self.cols.len())
                 .filter(|&i| self.cols.min_admissible[i] != NEVER)
+                .map(|i| (avg_key(self.cols.avg[i]), i as u32))
                 .collect();
-            order.sort_by(|&i, &j| self.cols.avg[i].total_cmp(&self.cols.avg[j]));
-            order
+            keyed.sort_unstable();
+            keyed.iter().map(|&(_, slot)| slot).collect()
         })
     }
 
@@ -234,6 +245,11 @@ impl SweepPrecomp {
     /// `[1, T̂_g]`, and the `qualify` span's `qualify.*` counters charge
     /// each rejection to the first failing gate, in the order accuracy,
     /// time, window.
+    ///
+    /// A bid is admitted iff `T̂_g` reaches its `min_admissible` threshold,
+    /// which is equivalent to passing all three gates. The accuracy and
+    /// time rejections are counted without branching; the window
+    /// rejections are the remainder.
     ///
     /// # Example
     ///
@@ -266,26 +282,18 @@ impl SweepPrecomp {
         );
         let _span = span!("qualify", tg = horizon);
         let last = Round(horizon);
-        let (mut examined, mut by_accuracy, mut by_time, mut by_window) = (0u64, 0u64, 0u64, 0u64);
+        let (mut by_accuracy, mut by_time) = (0u64, 0u64);
         let mut bids = Vec::new();
         for i in 0..self.cols.len() {
-            examined += 1;
-            // Only the three threshold columns are read until admission.
-            if horizon < self.cols.h_accuracy[i] {
-                by_accuracy += 1;
-                continue;
-            }
-            if !self.cols.time_ok[i] {
-                by_time += 1;
-                continue;
-            }
-            if horizon < self.cols.h_window[i] {
-                by_window += 1;
+            let accurate = horizon >= self.cols.h_accuracy[i];
+            by_accuracy += u64::from(!accurate);
+            by_time += u64::from(accurate & !self.cols.time_ok[i]);
+            if horizon < self.cols.min_admissible[i] {
                 continue;
             }
             let window = self.cols.windows[i]
                 .truncate(last)
-                .expect("h ≥ h_window implies h ≥ window start");
+                .expect("h ≥ min_admissible implies h ≥ window start");
             bids.push(QualifiedBid {
                 bid_ref: self.cols.bid_refs[i],
                 price: self.cols.prices[i],
@@ -295,11 +303,15 @@ impl SweepPrecomp {
                 round_time: self.cols.round_times[i],
             });
         }
+        let (examined, accepted) = (self.cols.len() as u64, bids.len() as u64);
         counter!("qualify.examined", examined);
         counter!("qualify.rejected_accuracy", by_accuracy);
         counter!("qualify.rejected_time", by_time);
-        counter!("qualify.rejected_window", by_window);
-        counter!("qualify.accepted", bids.len());
+        counter!(
+            "qualify.rejected_window",
+            examined - by_accuracy - by_time - accepted
+        );
+        counter!("qualify.accepted", accepted);
         Wdp::new(horizon, self.k, bids)
     }
 
@@ -318,7 +330,8 @@ impl SweepPrecomp {
     pub fn cost_lower_bound(&self, horizon: u32) -> f64 {
         let mut remaining = u64::from(self.k) * u64::from(horizon);
         let mut bound = 0.0;
-        for &idx in self.avg_order() {
+        for &slot in self.avg_order() {
+            let idx = slot as usize;
             if self.cols.min_admissible[idx] > horizon {
                 continue;
             }
@@ -336,34 +349,50 @@ impl SweepPrecomp {
     /// horizon in `1..=T` admits it (or the bid was never inserted). This
     /// is the online mode's qualification gate: a streamed bid qualifies
     /// at the fixed horizon `T̂` iff its admission horizon is at most `T̂`.
+    ///
+    /// The slot is searched from the newest one: the online gate asks
+    /// about the bid its [`insert`](SweepPrecomp::insert) just appended,
+    /// which sits in the last slot, so the search stops at once instead of
+    /// scanning the whole stream. Bid refs are unique, so the direction
+    /// does not change the answer.
     pub fn admission_horizon(&self, bid_ref: BidRef) -> Option<u32> {
-        self.slot_of(bid_ref).and_then(|i| {
-            (self.cols.min_admissible[i] != NEVER).then_some(self.cols.min_admissible[i])
-        })
+        let i = self.cols.bid_refs.iter().rposition(|&r| r == bid_ref)?;
+        (self.cols.min_admissible[i] != NEVER).then_some(self.cols.min_admissible[i])
     }
 }
 
 /// The smallest `h ∈ [1, cap]` with `θ ≤ (1 − 1/h) + ε`, or [`NEVER`].
 ///
-/// Binary search over the **exact** comparison a per-horizon check
-/// evaluates; `1 − 1/h` is monotone non-decreasing in `h` even in floating
-/// point (division by a larger positive integer never rounds upward past
-/// the previous quotient), so the predicate flips at most once.
+/// Decided by the **exact** comparison a per-horizon check evaluates;
+/// `1 − 1/h` is monotone non-decreasing in `h` even in floating point
+/// (division by a larger positive integer never rounds upward past the
+/// previous quotient), so the predicate flips at most once. The walk
+/// starts at the real-valued boundary `⌈1/(1 − θ + ε)⌉`, clamped to
+/// `[1, cap]`, steps down while `h − 1` passes and up while `h` fails;
+/// rounding puts the start within a step of the flip, so about three
+/// comparisons settle what a binary search takes `log₂ cap` for.
 fn accuracy_threshold(accuracy: f64, cap: u32) -> u32 {
     let admitted = |h: u32| accuracy <= (1.0 - 1.0 / f64::from(h)) + QUALIFY_EPS;
-    if !admitted(cap) {
-        return NEVER;
+    let boundary = (1.0 / (1.0 - accuracy + QUALIFY_EPS)).ceil();
+    let mut h = boundary.clamp(1.0, f64::from(cap)) as u32;
+    while h > 1 && admitted(h - 1) {
+        h -= 1;
     }
-    let (mut lo, mut hi) = (1u32, cap); // invariant: admitted(hi)
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if admitted(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    while !admitted(h) {
+        if h == cap {
+            return NEVER;
         }
+        h += 1;
     }
-    lo
+    h
+}
+
+/// An order-preserving `u64` image of `x`: `a.total_cmp(&b)` equals
+/// `avg_key(a).cmp(&avg_key(b))`, `−0.0` below `+0.0` included. A negative
+/// float has every bit flipped, a positive one only its sign bit.
+fn avg_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
 /// Saturating `u64 → u32` for window thresholds (a saturated threshold can
@@ -741,6 +770,138 @@ mod tests {
         let cfg = AuctionConfig::paper_default();
         let streaming = SweepPrecomp::empty(&cfg);
         assert_equivalent(&streaming, &SweepPrecomp::new(&Instance::new(cfg)), "empty");
+    }
+
+    // ---- The rewritten primitives against their references -------------
+
+    /// Reference for `accuracy_threshold`: bisection over the same
+    /// predicate for the smallest admitted horizon in `[1, cap]`, or
+    /// [`NEVER`].
+    fn threshold_by_bisection(accuracy: f64, cap: u32) -> u32 {
+        let admitted = |h: u32| accuracy <= (1.0 - 1.0 / f64::from(h)) + QUALIFY_EPS;
+        if !admitted(cap) {
+            return NEVER;
+        }
+        let (mut lo, mut hi) = (1u32, cap);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if admitted(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn accuracy_threshold_matches_bisection_at_every_boundary() {
+        let mut state = 0x7e57_a11du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let random: Vec<f64> = (0..2_000)
+            .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64)
+            .collect();
+        for cap in [1, 2, 3, 16, 64, 4096] {
+            let boundaries = (1..=cap).flat_map(|h| {
+                let at = (1.0 - 1.0 / f64::from(h)) + QUALIFY_EPS;
+                [at.next_down(), at, at.next_up()]
+            });
+            let thetas = boundaries
+                .chain([1e-12, 0.5, 1.0])
+                .chain(random.iter().copied());
+            for theta in thetas {
+                assert_eq!(
+                    accuracy_threshold(theta, cap),
+                    threshold_by_bisection(theta, cap),
+                    "θ = {theta:e} ({:#x}), cap {cap}",
+                    theta.to_bits()
+                );
+            }
+        }
+    }
+
+    /// The lower bound's scan order, rebuilt the way it was before the
+    /// keyed sort: admissible slots, stably sorted by `avg.total_cmp`.
+    fn stable_avg_order(p: &SweepPrecomp) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..p.cols.len())
+            .filter(|&i| p.cols.min_admissible[i] != NEVER)
+            .collect();
+        order.sort_by(|&i, &j| p.cols.avg[i].total_cmp(&p.cols.avg[j]));
+        order
+    }
+
+    fn keyed_avg_order(p: &SweepPrecomp) -> Vec<usize> {
+        p.avg_order().iter().map(|&slot| slot as usize).collect()
+    }
+
+    #[test]
+    fn keyed_lower_bound_order_is_the_stable_total_cmp_order() {
+        let cfg = AuctionConfig::builder()
+            .max_rounds(16)
+            .clients_per_round(2)
+            .round_time_limit(100.0)
+            .build()
+            .unwrap();
+        let mut inst = Instance::new(cfg);
+        let mut state = 0xa5a5u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Few distinct prices and round counts, so most averages repeat;
+        // `−0.0` and `+0.0` prices tie under `==` but not under
+        // `total_cmp`.
+        let prices = [-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 6.0];
+        for _ in 0..60 {
+            let c = inst.add_client(ClientProfile::new(1.0, 1.0).unwrap());
+            for _ in 0..5 {
+                let a = 1 + (next() % 8) as u32;
+                let d = a + (next() % 8) as u32;
+                let rounds = 1 + (next() % u64::from((d - a + 1).min(3))) as u32;
+                let theta = [0.3, 0.5, 0.9, 0.97][(next() % 4) as usize];
+                let price = prices[(next() % prices.len() as u64) as usize];
+                inst.add_bid(
+                    c,
+                    Bid::new(price, theta, Window::new(Round(a), Round(d)), rounds).unwrap(),
+                )
+                .unwrap();
+            }
+        }
+        let batch = SweepPrecomp::new(&inst);
+        let order = keyed_avg_order(&batch);
+        assert!(order.len() > 100, "enough admissible slots to reorder");
+        assert_eq!(order, stable_avg_order(&batch), "after new");
+        let zeros: Vec<f64> = order
+            .iter()
+            .map(|&i| batch.cols.avg[i])
+            .filter(|&a| a == 0.0)
+            .collect();
+        assert!(zeros.iter().any(|a| a.is_sign_negative()));
+        assert!(
+            zeros.is_sorted_by_key(|a| a.is_sign_positive()),
+            "−0.0 sorts before +0.0"
+        );
+
+        let mut streaming = SweepPrecomp::empty(inst.config());
+        for (n, (bid_ref, bid)) in inst.iter_bids().enumerate() {
+            streaming.insert(bid_ref, bid, inst.round_time(bid_ref));
+            if n % 37 == 0 {
+                assert_eq!(
+                    keyed_avg_order(&streaming),
+                    stable_avg_order(&streaming),
+                    "after {} inserts",
+                    n + 1
+                );
+            }
+        }
+        assert_eq!(keyed_avg_order(&streaming), order, "after every insert");
     }
 
     #[test]

@@ -249,6 +249,16 @@ impl AWinner {
 /// exactly the schedule the full scan would compute at that iteration.
 /// Dropping the per-entry `Vec` keeps heap slots `Copy` and the seed pass
 /// allocation-free.
+///
+/// The seed reads no loads: before the first selection every round is
+/// unsaturated, so the gain is `min(c, d − a + 1)` under either policy.
+/// The seed entries go into the heap unordered and are heapified once,
+/// bottom-up, in `O(n)` ([`LazyHeap::fill`]). The pop sequence does not
+/// depend on how the heap was built: live keys are unique (`bid_ref` is
+/// the last tie-break and a bid holds at most one live entry), so every
+/// pop returns the one minimum.
+///
+/// [`LazyHeap::fill`]: crate::columnar::LazyHeap::fill
 fn columnar_greedy(
     wdp: &Wdp,
     policy: SchedulePolicy,
@@ -266,27 +276,18 @@ fn columnar_greedy(
     let feasible = with_scratch(|s| {
         s.reset(horizon, cols.len(), cols.num_clients());
         // Seed: every bid evaluated under the empty coverage, stamp 0.
-        for i in 0..cols.len() {
-            let gain = gain_in_window(
-                &s.loads,
-                k,
-                cols.start(i),
-                cols.end(i),
-                cols.rounds(i),
-                policy,
-            );
-            if gain == 0 {
-                continue; // gains never grow back
-            }
-            s.heap.push(HeapSlot {
+        s.heap.fill((0..cols.len()).filter_map(|i| {
+            let gain = cols.rounds(i).min(cols.end(i) - cols.start(i) + 1);
+            // Gains never grow back, so a zero gain never enters.
+            (gain != 0).then(|| HeapSlot {
                 avg: cols.price(i) / f64::from(gain),
                 price: cols.price(i),
                 bid_ref: cols.bid_ref(i),
                 idx: i as u32,
                 gain,
                 stamp: 0,
-            });
-        }
+            })
+        }));
         let mut covered = 0u64;
         while covered < total {
             // Pop until we hold the exact minimum and runner-up.
