@@ -18,13 +18,13 @@
 //!
 //! [`ColumnarBids`] holds one parallel array per bid attribute, all exactly
 //! `len()` long, index `i` everywhere meaning "the `i`-th qualified bid in
-//! instance order" (the same order as the source `&[QualifiedBid]` slice):
+//! instance order":
 //!
 //! ```text
 //! index type  column          contents
 //! ----------  --------------  ------------------------------------------
 //! BidRef      refs[i]         the paper's pair (i, j) — the API identity
-//! u32         client_slots[i] dense per-WDP client index (see below)
+//! u32         client_slots[i] per-WDP client slot (see below)
 //! f64         prices[i]       claimed cost b_ij
 //! f64         accuracies[i]   local accuracy θ_ij
 //! u32         starts[i]       window start a_ij, 1-based round number
@@ -32,6 +32,18 @@
 //! u32         rounds[i]       participation rounds c_ij
 //! f64         round_times[i]  per-round wall clock t_ij
 //! ```
+//!
+//! # Where the columns come from
+//!
+//! [`SweepPrecomp::qualify_at`](crate::SweepPrecomp::qualify_at) gathers
+//! the admitted bids straight out of its own per-bid columns into a
+//! `ColumnarBids` held by the [`Wdp`](crate::Wdp), windows truncated to
+//! the horizon, so `A_winner` reads columns from the first bid on and
+//! nothing transposes rows. [`Wdp::bids`](crate::Wdp::bids) builds the
+//! row form on first use, for the row-form solvers (`fl-exact`, the
+//! baselines) and the checkers. A [`Wdp`](crate::Wdp) built from rows
+//! ([`Wdp::new`](crate::Wdp::new)) transposes them once through
+//! [`From<&[QualifiedBid]>`](#impl-From%3C%26%5BQualifiedBid%5D%3E-for-ColumnarBids).
 //!
 //! # Index types
 //!
@@ -42,11 +54,14 @@
 //! * **round number** `u32` — 1-based global iteration, `1..=T̂_g`, the
 //!   same numbering as [`Round`]. Array storage subtracts one
 //!   (`loads[(t − 1) as usize]`), exactly like [`Round::index`].
-//! * **client slot** `u32` — a dense renumbering of the (possibly sparse)
-//!   [`ClientId`](crate::ClientId) space, assigned in first-appearance
-//!   order during construction. `client_slots` lets the greedy keep its
+//! * **client slot** `u32` — in `0..num_slots()`; two bids share a slot
+//!   iff they share a client. `client_slots` lets the greedy keep its
 //!   "at most one bid per client" bitmap in a flat `Vec<bool>` instead of
-//!   a hash set, without assuming anything about raw client ids.
+//!   a hash set. `qualify_at` uses the [`ClientId`](crate::ClientId)
+//!   itself, which `Instance::add_client` numbers densely, so the slot
+//!   count is one more than the largest admitted id. Rows built by hand
+//!   may carry sparse ids, so `From` renumbers clients densely in
+//!   first-appearance order.
 //!
 //! # Safety and aliasing rules
 //!
@@ -58,8 +73,8 @@
 //!   sweep.
 //! * All mutable state of one greedy run lives in [`SweepScratch`], whose
 //!   fields are disjoint buffers borrowed field-by-field (loads while
-//!   sorting the order buffer, the heap while reading the selection
-//!   bitmaps). No scratch buffer ever aliases a column.
+//!   sorting the order buffer, the heap while reading the per-bid gains).
+//!   No scratch buffer ever aliases a column.
 //! * The arena is handed out per **thread** ([`with_scratch`] — a
 //!   thread-local), matching the parallel sweep's execution model: each
 //!   worker reuses its own arena across the horizons it steals, and two
@@ -102,21 +117,37 @@
 //! cost `winner.lazy_refreshes` ≈ 10× iterations on the Fig. 3 profile.
 //! With the index, an entry is re-examined only when a saturation landed
 //! in one of its buckets — at most `T̂_g` saturation events exist in a
-//! whole run — and the queue counts (and re-inserts) it only if the
-//! recomputed gain actually differs from the cached key; a conservative
+//! whole run — and the queue counts (and re-keys) it only if the
+//! recomputed gain actually differs from the cached one; a conservative
 //! bucket hit with an unchanged gain is accepted as the exact minimum on
 //! the spot. `winner.lazy_refreshes` therefore measures the workload's
 //! intrinsic invalidation pressure (≈ 5× iterations on Fig. 3, whose
 //! narrow windows put `c` near the window width) instead of queue
 //! staleness bookkeeping.
 //!
-//! The seed reads neither the loads nor the index: before the first
-//! selection no round is saturated, so every bid's gain is
-//! `min(c, d − a + 1)` under either schedule policy. The seed entries are
-//! heapified in one bottom-up pass ([`LazyHeap::fill`], `O(n)`) instead of
-//! `n` pushes; live keys are unique, so the pop sequence is the same.
+//! # The lazy heap
+//!
+//! A [`HeapSlot`] is 16 bytes: the order-preserving `u64` image of the
+//! cached `avg` (`avg_key`) and the bid index. Equal keys fall back to
+//! the bid's price, then its `bid_ref`, both read from the columns, so the
+//! order is still `(avg, price, bid_ref)`. The cached gain and its stamp
+//! live in the per-bid scratch columns [`SweepScratch::gains`] and
+//! [`SweepScratch::stamps`], and `avg` is recomputed as `price / gain` —
+//! the same division, so the same bits. A bid holds at most one live
+//! entry, so live keys are unique and every pop returns the one minimum,
+//! however the heap was built:
+//!
+//! * the seed reads neither the loads nor the index: before the first
+//!   selection no round is saturated, so every bid's gain is
+//!   `min(c, d − a + 1)` under either schedule policy. The seed entries
+//!   are heapified in one bottom-up pass ([`LazyHeap::fill`], `O(n)`)
+//!   instead of `n` pushes;
+//! * a stale top whose gain changed is re-keyed in place and sifted down
+//!   once ([`LazyHeap::rekey_top`]) instead of a pop plus a push. The heap
+//!   then holds the same set of keys as after the pop and push.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -131,15 +162,25 @@ use crate::wdp::QualifiedBid;
 pub const ROUNDS_PER_BUCKET: u32 = 8;
 const BUCKET_SHIFT: u32 = ROUNDS_PER_BUCKET.trailing_zeros();
 
+/// An order-preserving `u64` image of `x`: `a.total_cmp(&b)` equals
+/// `avg_key(a).cmp(&avg_key(b))`, `−0.0` below `+0.0` included. A negative
+/// float has every bit flipped, a positive one only its sign bit.
+pub(crate) fn avg_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
 /// The qualified bids of one WDP as parallel columns (see the
-/// [module docs](self) for the layout). Construct with
+/// [module docs](self) for the layout). Built by
+/// [`SweepPrecomp::qualify_at`](crate::SweepPrecomp::qualify_at) or, from
+/// rows, with
 /// [`From<&[QualifiedBid]>`](#impl-From%3C%26%5BQualifiedBid%5D%3E-for-ColumnarBids);
 /// immutable afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBids {
     refs: Vec<BidRef>,
     client_slots: Vec<u32>,
-    num_clients: usize,
+    num_slots: usize,
     prices: Vec<f64>,
     accuracies: Vec<f64>,
     starts: Vec<u32>,
@@ -149,47 +190,41 @@ pub struct ColumnarBids {
 }
 
 impl From<&[QualifiedBid]> for ColumnarBids {
+    /// Transposes `bids`, keeping their order. Client slots are dense, in
+    /// first-appearance order, whatever the raw ids: deterministic, and
+    /// independent of how sparse the [`ClientId`](crate::ClientId) space
+    /// of hand-built rows is. Client-major rows reuse the previous row's
+    /// slot when the client repeats, so the map sees each client about
+    /// once.
     fn from(bids: &[QualifiedBid]) -> ColumnarBids {
-        let n = bids.len();
-        let mut cols = ColumnarBids {
-            refs: Vec::with_capacity(n),
-            client_slots: Vec::with_capacity(n),
-            num_clients: 0,
-            prices: Vec::with_capacity(n),
-            accuracies: Vec::with_capacity(n),
-            starts: Vec::with_capacity(n),
-            ends: Vec::with_capacity(n),
-            rounds: Vec::with_capacity(n),
-            round_times: Vec::with_capacity(n),
-        };
-        // Dense client slots in first-appearance order: deterministic, and
-        // independent of how sparse the raw ClientId space is. Qualified
-        // rows arrive client-major, so a repeat of the previous client
-        // reuses its slot and the map sees each client about once.
         let mut slot_of: HashMap<u32, u32, BuildHasherDefault<ClientIdHasher>> = HashMap::default();
         let mut last: Option<(u32, u32)> = None;
-        for b in bids {
-            let client = b.bid_ref.client.0;
-            let slot = match last {
-                Some((c, slot)) if c == client => slot,
-                _ => {
-                    let next = slot_of.len() as u32;
-                    let slot = *slot_of.entry(client).or_insert(next);
-                    last = Some((client, slot));
-                    slot
+        let client_slots = bids
+            .iter()
+            .map(|b| {
+                let client = b.bid_ref.client.0;
+                match last {
+                    Some((c, slot)) if c == client => slot,
+                    _ => {
+                        let next = slot_of.len() as u32;
+                        let slot = *slot_of.entry(client).or_insert(next);
+                        last = Some((client, slot));
+                        slot
+                    }
                 }
-            };
-            cols.refs.push(b.bid_ref);
-            cols.client_slots.push(slot);
-            cols.prices.push(b.price);
-            cols.accuracies.push(b.accuracy);
-            cols.starts.push(b.window.start().0);
-            cols.ends.push(b.window.end().0);
-            cols.rounds.push(b.rounds);
-            cols.round_times.push(b.round_time);
+            })
+            .collect();
+        ColumnarBids {
+            refs: bids.iter().map(|b| b.bid_ref).collect(),
+            client_slots,
+            num_slots: slot_of.len(),
+            prices: bids.iter().map(|b| b.price).collect(),
+            accuracies: bids.iter().map(|b| b.accuracy).collect(),
+            starts: bids.iter().map(|b| b.window.start().0).collect(),
+            ends: bids.iter().map(|b| b.window.end().0).collect(),
+            rounds: bids.iter().map(|b| b.rounds).collect(),
+            round_times: bids.iter().map(|b| b.round_time).collect(),
         }
-        cols.num_clients = slot_of.len();
-        cols
     }
 }
 
@@ -222,6 +257,35 @@ impl Hasher for ClientIdHasher {
 }
 
 impl ColumnarBids {
+    /// Assembles the store from columns of equal length, using each
+    /// bid's client id as its slot. The ids come from an
+    /// [`Instance`](crate::Instance), which numbers its clients densely,
+    /// so the slot count, one more than the largest id, is at most the
+    /// instance's client count.
+    pub(crate) fn from_columns(
+        refs: Vec<BidRef>,
+        prices: Vec<f64>,
+        accuracies: Vec<f64>,
+        starts: Vec<u32>,
+        ends: Vec<u32>,
+        rounds: Vec<u32>,
+        round_times: Vec<f64>,
+    ) -> ColumnarBids {
+        let client_slots: Vec<u32> = refs.iter().map(|r| r.client.0).collect();
+        let num_slots = client_slots.iter().max().map_or(0, |&id| id as usize + 1);
+        ColumnarBids {
+            refs,
+            client_slots,
+            num_slots,
+            prices,
+            accuracies,
+            starts,
+            ends,
+            rounds,
+            round_times,
+        }
+    }
+
     /// Number of bids (every column has exactly this length).
     pub fn len(&self) -> usize {
         self.refs.len()
@@ -232,9 +296,13 @@ impl ColumnarBids {
         self.refs.is_empty()
     }
 
-    /// Number of distinct clients across the bids.
-    pub fn num_clients(&self) -> usize {
-        self.num_clients
+    /// Number of client slots: every [`client_slot`](Self::client_slot) is
+    /// below it. Equals the number of distinct clients when the slots are
+    /// dense (rows built by hand); from
+    /// [`qualify_at`](crate::SweepPrecomp::qualify_at) it is one more than
+    /// the largest admitted client id.
+    pub fn num_slots(&self) -> usize {
+        self.num_slots
     }
 
     /// The bid reference `(i, j)` of bid `i`.
@@ -242,7 +310,8 @@ impl ColumnarBids {
         self.refs[i]
     }
 
-    /// The dense client slot of bid `i` (in `0..num_clients()`).
+    /// The client slot of bid `i` (in `0..num_slots()`). Two bids share a
+    /// slot iff they share a client.
     pub fn client_slot(&self, i: usize) -> u32 {
         self.client_slots[i]
     }
@@ -333,43 +402,53 @@ impl CoverageIndex {
     }
 }
 
-/// One lazy-queue entry: a candidate bid with its cached evaluation.
+/// One lazy-queue entry: a candidate bid keyed by its cached average
+/// cost, 16 bytes.
 ///
-/// `avg`/`gain` are exact as of logical time `stamp`; by the lazy-greedy
+/// The cached gain and its stamp live in the per-bid scratch columns
+/// ([`SweepScratch::gains`], [`SweepScratch::stamps`]); by the lazy-greedy
 /// monotonicity argument the cached `avg` is a lower bound on the current
 /// one whenever the entry is stale. The schedule is deliberately **not**
 /// cached — re-deriving it for the one winner per iteration is cheaper
 /// than carrying a `Vec` per entry through a million-slot heap.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapSlot {
-    /// Cached average cost `ρ / R_il(S)` at `stamp`.
-    pub avg: f64,
-    /// The bid's price (first tie-break key).
-    pub price: f64,
-    /// The bid's reference (final, total tie-break key).
-    pub bid_ref: BidRef,
+    /// The order-preserving `u64` image of the cached average cost
+    /// `ρ / R_il(S)`: keys compare as the averages do under `total_cmp`.
+    pub key: u64,
     /// Bid index into the columns.
     pub idx: u32,
-    /// Cached marginal utility `R_il(S)` at `stamp`.
-    pub gain: u32,
-    /// [`CoverageIndex::clock`] value the entry was computed at.
-    pub stamp: u64,
 }
 
 impl HeapSlot {
+    /// The entry of bid `idx` at average cost `avg`.
+    pub fn new(idx: u32, avg: f64) -> HeapSlot {
+        HeapSlot {
+            key: avg_key(avg),
+            idx,
+        }
+    }
+
     /// Strict "sorts earlier" comparison on `(avg, price, bid_ref)` — the
-    /// same deterministic total order as the full scan's `better`.
-    fn sorts_before(&self, other: &HeapSlot) -> bool {
-        self.avg
-            .total_cmp(&other.avg)
-            .then(self.price.total_cmp(&other.price))
-            .then(self.bid_ref.cmp(&other.bid_ref))
-            .is_lt()
+    /// same deterministic total order as the full scan's `better`. Price
+    /// and `bid_ref` are read from `cols` only when the keys tie.
+    fn sorts_before(self, other: HeapSlot, cols: &ColumnarBids) -> bool {
+        match self.key.cmp(&other.key) {
+            Ordering::Equal => {
+                let (a, b) = (self.idx as usize, other.idx as usize);
+                cols.price(a)
+                    .total_cmp(&cols.price(b))
+                    .then(cols.bid_ref(a).cmp(&cols.bid_ref(b)))
+                    .is_lt()
+            }
+            order => order.is_lt(),
+        }
     }
 }
 
 /// A grow-only binary **min**-heap over [`HeapSlot`]s, ordered by
-/// `(avg, price, bid_ref)`, with storage that survives
+/// `(avg, price, bid_ref)` with the ties read from the [`ColumnarBids`]
+/// every operation is given, with storage that survives
 /// [`LazyHeap::clear`] so one allocation serves a whole sweep.
 #[derive(Debug, Clone, Default)]
 pub struct LazyHeap {
@@ -402,38 +481,54 @@ impl LazyHeap {
     /// one bottom-up pass (Floyd's heapify): `O(n)` instead of the
     /// `O(n log n)` of `n` pushes. With unique keys the pop sequence is
     /// the same either way.
-    pub fn fill(&mut self, slots: impl IntoIterator<Item = HeapSlot>) {
+    pub fn fill(&mut self, slots: impl IntoIterator<Item = HeapSlot>, cols: &ColumnarBids) {
         self.slots.clear();
         self.slots.extend(slots);
         for i in (0..self.slots.len() / 2).rev() {
-            self.sift_down(i);
+            self.sift_down(i, cols);
         }
     }
 
     /// Inserts an entry.
-    pub fn push(&mut self, slot: HeapSlot) {
+    pub fn push(&mut self, slot: HeapSlot, cols: &ColumnarBids) {
         self.slots.push(slot);
-        self.sift_up(self.slots.len() - 1);
+        self.sift_up(self.slots.len() - 1, cols);
+    }
+
+    /// The minimum entry, left in place.
+    pub fn peek(&self) -> Option<HeapSlot> {
+        self.slots.first().copied()
     }
 
     /// Removes and returns the minimum entry.
-    pub fn pop(&mut self) -> Option<HeapSlot> {
+    pub fn pop(&mut self, cols: &ColumnarBids) -> Option<HeapSlot> {
         if self.slots.is_empty() {
             return None;
         }
-        let last = self.slots.len() - 1;
-        self.slots.swap(0, last);
-        let top = self.slots.pop();
+        let top = self.slots.swap_remove(0);
         if !self.slots.is_empty() {
-            self.sift_down(0);
+            self.sift_down(0, cols);
         }
-        top
+        Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize) {
+    /// Gives the minimum entry the key `key` and restores the heap order
+    /// with one sift down: the heap then holds the same entries as after
+    /// popping the top and pushing it back with `key`, so with unique keys
+    /// the pop sequence is the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heap is empty.
+    pub fn rekey_top(&mut self, key: u64, cols: &ColumnarBids) {
+        self.slots[0].key = key;
+        self.sift_down(0, cols);
+    }
+
+    fn sift_up(&mut self, mut i: usize, cols: &ColumnarBids) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.slots[i].sorts_before(&self.slots[parent]) {
+            if self.slots[i].sorts_before(self.slots[parent], cols) {
                 self.slots.swap(i, parent);
                 i = parent;
             } else {
@@ -442,15 +537,15 @@ impl LazyHeap {
         }
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_down(&mut self, mut i: usize, cols: &ColumnarBids) {
         let n = self.slots.len();
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut min = i;
-            if l < n && self.slots[l].sorts_before(&self.slots[min]) {
+            if l < n && self.slots[l].sorts_before(self.slots[min], cols) {
                 min = l;
             }
-            if r < n && self.slots[r].sorts_before(&self.slots[min]) {
+            if r < n && self.slots[r].sorts_before(self.slots[min], cols) {
                 min = r;
             }
             if min == i {
@@ -473,8 +568,11 @@ pub struct SweepScratch {
     pub order: Vec<u32>,
     /// The last computed schedule (1-based round numbers, ascending).
     pub schedule: Vec<u32>,
-    /// Per-bid "this pair is already selected" bitmap.
-    pub pair_selected: Vec<bool>,
+    /// Per-bid cached marginal utility `R_il(S)` of the bid's heap entry.
+    pub gains: Vec<u32>,
+    /// Per-bid [`CoverageIndex::clock`] value its cached gain was computed
+    /// at.
+    pub stamps: Vec<u64>,
     /// Per-client-slot "this client already won a bid" bitmap.
     pub client_selected: Vec<bool>,
     /// The bucketed invalidation index.
@@ -485,17 +583,19 @@ pub struct SweepScratch {
 
 impl SweepScratch {
     /// Re-initialises every buffer for a fresh greedy run over `bids` bids
-    /// from `clients` distinct clients at `horizon` rounds, reusing all
-    /// existing capacity.
-    pub fn reset(&mut self, horizon: u32, bids: usize, clients: usize) {
+    /// in `slots` client slots at `horizon` rounds, reusing all existing
+    /// capacity. Gains start at 0 and stamps at clock 0.
+    pub fn reset(&mut self, horizon: u32, bids: usize, slots: usize) {
         self.loads.clear();
         self.loads.resize(horizon as usize, 0);
         self.order.clear();
         self.schedule.clear();
-        self.pair_selected.clear();
-        self.pair_selected.resize(bids, false);
+        self.gains.clear();
+        self.gains.resize(bids, 0);
+        self.stamps.clear();
+        self.stamps.resize(bids, 0);
         self.client_selected.clear();
-        self.client_selected.resize(clients, false);
+        self.client_selected.resize(slots, false);
         self.index.reset(horizon);
         self.heap.clear();
         self.heap.reserve(bids);
@@ -563,16 +663,44 @@ mod tests {
             qb(0, 0, 1.0, 1, 2, 1),
         ];
         let cols = ColumnarBids::from(bids.as_slice());
-        assert_eq!(cols.num_clients(), 3);
+        assert_eq!(cols.num_slots(), 3);
         let slots: Vec<u32> = (0..cols.len()).map(|i| cols.client_slot(i)).collect();
         assert_eq!(slots, vec![0, 1, 0, 2]);
+    }
+
+    /// `from_columns` over the columns of `bids`.
+    fn from_columns(bids: &[QualifiedBid]) -> ColumnarBids {
+        ColumnarBids::from_columns(
+            bids.iter().map(|b| b.bid_ref).collect(),
+            bids.iter().map(|b| b.price).collect(),
+            bids.iter().map(|b| b.accuracy).collect(),
+            bids.iter().map(|b| b.window.start().0).collect(),
+            bids.iter().map(|b| b.window.end().0).collect(),
+            bids.iter().map(|b| b.rounds).collect(),
+            bids.iter().map(|b| b.round_time).collect(),
+        )
+    }
+
+    #[test]
+    fn gathered_columns_use_client_ids_as_slots() {
+        let bids = vec![
+            qb(3, 0, 2.5, 1, 4, 2),
+            qb(3, 1, 7.0, 2, 2, 1),
+            qb(40, 0, 0.0, 3, 6, 4),
+        ];
+        let cols = from_columns(&bids);
+        assert_eq!(cols.to_bids(), bids);
+        let slots: Vec<u32> = (0..cols.len()).map(|i| cols.client_slot(i)).collect();
+        assert_eq!(slots, vec![3, 3, 40]);
+        assert_eq!(cols.num_slots(), 41, "one more than the largest id");
+        assert_eq!(from_columns(&[]).num_slots(), 0);
     }
 
     #[test]
     fn empty_store_is_empty() {
         let cols = ColumnarBids::from([].as_slice());
         assert!(cols.is_empty());
-        assert_eq!(cols.num_clients(), 0);
+        assert_eq!(cols.num_slots(), 0);
         assert!(cols.to_bids().is_empty());
     }
 
@@ -607,75 +735,156 @@ mod tests {
         assert!(idx.is_current(1, 8, 0), "reset clears versions");
     }
 
-    #[test]
-    fn lazy_heap_pops_in_total_order() {
-        let slot = |avg: f64, price: f64, client: u32| HeapSlot {
-            avg,
-            price,
-            bid_ref: BidRef::new(ClientId(client), 0),
-            idx: client,
-            gain: 1,
-            stamp: 0,
-        };
-        let mut heap = LazyHeap::default();
-        // avg ties broken by price, then bid_ref.
-        for s in [
-            slot(2.0, 5.0, 1),
-            slot(1.0, 9.0, 2),
-            slot(1.0, 3.0, 4),
-            slot(1.0, 3.0, 3),
-        ] {
-            heap.push(s);
-        }
-        assert_eq!(heap.len(), 4);
-        let order: Vec<u32> = std::iter::from_fn(|| heap.pop()).map(|s| s.idx).collect();
-        assert_eq!(order, vec![3, 4, 2, 1]);
-        assert!(heap.is_empty());
-        assert!(heap.pop().is_none());
+    /// Heap entries for `(avg, price, client, bid)` candidates, with the
+    /// columns that break their key ties.
+    fn candidates(spec: &[(f64, f64, u32, u32)]) -> (Vec<HeapSlot>, ColumnarBids) {
+        let rows: Vec<QualifiedBid> = spec
+            .iter()
+            .map(|&(_, price, client, bid)| qb(client, bid, price, 1, 2, 1))
+            .collect();
+        let slots = spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(avg, ..))| HeapSlot::new(i as u32, avg))
+            .collect();
+        (slots, ColumnarBids::from(rows.as_slice()))
     }
 
-    #[test]
-    fn heapify_pops_the_same_sequence_as_pushes() {
-        let mut state = 0x4ea9u64;
-        let mut next = move || {
+    fn drain(heap: &mut LazyHeap, cols: &ColumnarBids) -> Vec<u32> {
+        std::iter::from_fn(|| heap.pop(cols))
+            .map(|s| s.idx)
+            .collect()
+    }
+
+    /// `n` seeded candidates with few distinct averages and prices, so the
+    /// ties reach `bid_ref`; every `bid_ref` is unique.
+    fn tied_candidates(n: u32, next: &mut impl FnMut() -> u64) -> Vec<(f64, f64, u32, u32)> {
+        (0..n)
+            .map(|i| {
+                let avg = (next() % 5) as f64 * 0.5;
+                let price = (next() % 3) as f64;
+                (avg, price, (next() % 50) as u32, i)
+            })
+            .collect()
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        let slot = |avg: f64, price: f64, client: u32, idx: u32| HeapSlot {
-            avg,
-            price,
-            bid_ref: BidRef::new(ClientId(client), idx),
-            idx,
-            gain: 1,
-            stamp: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn heap_slots_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<HeapSlot>(), 16);
+    }
+
+    #[test]
+    fn avg_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0f64.next_up(),
+            3.5,
+            f64::INFINITY,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(avg_key(a).cmp(&avg_key(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_heap_pops_in_total_order() {
+        // avg ties broken by price, then bid_ref.
+        let (slots, cols) = candidates(&[
+            (2.0, 5.0, 1, 0),
+            (1.0, 9.0, 2, 0),
+            (1.0, 3.0, 4, 0),
+            (1.0, 3.0, 3, 0),
+        ]);
+        let mut heap = LazyHeap::default();
+        for s in slots {
+            heap.push(s, &cols);
+        }
+        assert_eq!(heap.len(), 4);
+        assert_eq!(heap.peek().map(|s| s.idx), Some(3));
+        assert_eq!(drain(&mut heap, &cols), vec![3, 2, 1, 0]);
+        assert!(heap.is_empty());
+        assert!(heap.peek().is_none());
+        assert!(heap.pop(&cols).is_none());
+    }
+
+    #[test]
+    fn heapify_pops_the_same_sequence_as_pushes() {
+        let mut next = xorshift(0x4ea9);
         for n in [0, 1, 2, 3, 7, 64, 1_000] {
-            // Few distinct averages and prices, so the ties reach
-            // `bid_ref`; every `bid_ref` is unique.
-            let slots: Vec<HeapSlot> = (0..n)
-                .map(|i| {
-                    slot(
-                        (next() % 5) as f64 * 0.5,
-                        (next() % 3) as f64,
-                        (next() % 50) as u32,
-                        i,
-                    )
-                })
-                .collect();
+            let spec = tied_candidates(n, &mut next);
+            let (slots, cols) = candidates(&spec);
             let mut pushed = LazyHeap::default();
             for &s in &slots {
-                pushed.push(s);
+                pushed.push(s, &cols);
             }
             let mut filled = LazyHeap::default();
-            filled.push(slot(-1.0, 0.0, 0, u32::MAX)); // `fill` must drop it
-            filled.fill(slots.iter().copied());
+            filled.push(HeapSlot::new(0, -1.0), &cols); // `fill` must drop it
+            filled.fill(slots.iter().copied(), &cols);
             assert_eq!(filled.len(), n as usize, "fill replaces the contents");
-            let drain = |heap: &mut LazyHeap| -> Vec<u32> {
-                std::iter::from_fn(|| heap.pop()).map(|s| s.idx).collect()
-            };
-            assert_eq!(drain(&mut filled), drain(&mut pushed), "{n} slots");
+            let want = drain(&mut pushed, &cols);
+            assert_eq!(drain(&mut filled, &cols), want, "{n} slots");
+            // The pops follow `(avg, price, bid_ref)`.
+            let mut sorted: Vec<u32> = (0..n).collect();
+            sorted.sort_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                spec[a]
+                    .0
+                    .total_cmp(&spec[b].0)
+                    .then(cols.price(a).total_cmp(&cols.price(b)))
+                    .then(cols.bid_ref(a).cmp(&cols.bid_ref(b)))
+            });
+            assert_eq!(want, sorted, "{n} slots");
+        }
+    }
+
+    #[test]
+    fn rekeying_the_top_in_place_pops_like_a_pop_plus_a_push() {
+        let mut next = xorshift(0x2e4e);
+        for n in [1, 2, 3, 7, 64, 1_000] {
+            let spec = tied_candidates(n, &mut next);
+            let mut avgs: Vec<f64> = spec.iter().map(|c| c.0).collect();
+            let (slots, cols) = candidates(&spec);
+            let (mut in_place, mut popped) = (LazyHeap::default(), LazyHeap::default());
+            in_place.fill(slots.iter().copied(), &cols);
+            popped.fill(slots.iter().copied(), &cols);
+            // Raise (or keep) the top's average a few times, as a stale
+            // entry's refresh does, and pop in between.
+            for step in 0..n.min(40) {
+                let top = in_place.peek().unwrap();
+                assert_eq!(Some(top), popped.peek(), "n = {n}, step {step}");
+                avgs[top.idx as usize] += (next() % 3) as f64 * 0.5;
+                let key = avg_key(avgs[top.idx as usize]);
+                in_place.rekey_top(key, &cols);
+                let top = popped.pop(&cols).unwrap();
+                popped.push(HeapSlot { key, ..top }, &cols);
+                if step % 3 == 2 {
+                    assert_eq!(in_place.pop(&cols), popped.pop(&cols));
+                }
+                if in_place.is_empty() {
+                    break;
+                }
+            }
+            assert_eq!(
+                drain(&mut in_place, &cols),
+                drain(&mut popped, &cols),
+                "n = {n}"
+            );
         }
     }
 
@@ -684,24 +893,20 @@ mod tests {
         with_scratch(|s| {
             s.reset(10, 5, 3);
             s.loads[4] = 7;
-            s.pair_selected[2] = true;
+            s.gains[2] = 4;
+            s.stamps[2] = 9;
             s.client_selected[1] = true;
             s.index.advance();
             s.index.touch(5);
-            s.heap.push(HeapSlot {
-                avg: 1.0,
-                price: 1.0,
-                bid_ref: BidRef::new(ClientId(0), 0),
-                idx: 0,
-                gain: 1,
-                stamp: 0,
-            });
+            let cols = ColumnarBids::from([qb(0, 0, 1.0, 1, 2, 1)].as_slice());
+            s.heap.push(HeapSlot::new(0, 1.0), &cols);
             let cap = s.loads.capacity();
             s.reset(6, 4, 2);
             assert!(s.loads.iter().all(|&l| l == 0));
             assert_eq!(s.loads.len(), 6);
             assert!(s.loads.capacity() >= cap.min(6), "capacity reused");
-            assert!(!s.pair_selected.iter().any(|&b| b));
+            assert_eq!(s.gains, vec![0; 4]);
+            assert_eq!(s.stamps, vec![0; 4]);
             assert!(!s.client_selected.iter().any(|&b| b));
             assert_eq!(s.index.clock(), 0);
             assert!(s.heap.is_empty());

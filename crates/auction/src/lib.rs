@@ -28,9 +28,10 @@
 //!   branch-and-bound in `fl-exact`) plug into the same outer loop through
 //!   the [`WdpSolver`] trait; [`verify`] re-checks any solver's output
 //!   against ILP (6) independently.
-//! * [`run_auction`] visits the horizons in ascending order on the calling
-//!   thread and skips any horizon whose cost lower bound exceeds the
-//!   incumbent. The unpruned [`sweep_horizons`] (Fig. 7) runs on a
+//! * [`run_auction`] visits the horizons best-first, by ascending cost
+//!   lower bound, on the calling thread, and stops once the next bound,
+//!   shrunk past its rounding error, exceeds the incumbent. The unpruned
+//!   [`sweep_horizons`] (Fig. 7) runs on a
 //!   zero-dependency scoped worker pool selected by [`SweepStrategy`]
 //!   (default: `FL_THREADS` or the machine's available parallelism); its
 //!   records are bit-identical across strategies. See `ARCHITECTURE.md`.

@@ -21,9 +21,10 @@
 use std::sync::OnceLock;
 
 use crate::bid::{Bid, Instance};
+use crate::columnar::{avg_key, ColumnarBids};
 use crate::config::{AuctionConfig, QualifyMode};
-use crate::types::{BidRef, Round, Window};
-use crate::wdp::{QualifiedBid, Wdp};
+use crate::types::{BidRef, Window};
+use crate::wdp::Wdp;
 use fl_telemetry::{counter, span};
 
 /// Numerical slack for the `θ ≤ θ_max` and `t_ij ≤ t_max` comparisons, so
@@ -236,15 +237,17 @@ impl SweepPrecomp {
     }
 
     /// Builds the qualified bid set `J_{T̂_g}` for `horizon` from the
-    /// precomputed thresholds and wraps it in a [`Wdp`].
+    /// precomputed thresholds and wraps it in a [`Wdp`], as the columns
+    /// `A_winner` reads ([`Wdp::columns`]); the row view is built only if
+    /// a caller asks for it.
     ///
     /// A bid qualifies when its accuracy is at most `θ_max = 1 − 1/T̂_g`
     /// (from `T_g ≥ 1/(1−θ)`), its per-round time is within the
     /// configured `t_max`, and its window admits it under the instance's
     /// [`QualifyMode`]. Bids keep instance order, windows are truncated to
-    /// `[1, T̂_g]`, and the `qualify` span's `qualify.*` counters charge
-    /// each rejection to the first failing gate, in the order accuracy,
-    /// time, window.
+    /// `[1, T̂_g]`, each bid's client slot is its client id, and the
+    /// `qualify` span's `qualify.*` counters charge each rejection to the
+    /// first failing gate, in the order accuracy, time, window.
     ///
     /// A bid is admitted iff `T̂_g` reaches its `min_admissible` threshold,
     /// which is equivalent to passing all three gates. The accuracy and
@@ -281,29 +284,18 @@ impl SweepPrecomp {
             self.horizon_cap
         );
         let _span = span!("qualify", tg = horizon);
-        let last = Round(horizon);
+        let c = &self.cols;
         let (mut by_accuracy, mut by_time) = (0u64, 0u64);
-        let mut bids = Vec::new();
-        for i in 0..self.cols.len() {
-            let accurate = horizon >= self.cols.h_accuracy[i];
+        let mut admitted: Vec<usize> = Vec::new();
+        for i in 0..c.len() {
+            let accurate = horizon >= c.h_accuracy[i];
             by_accuracy += u64::from(!accurate);
-            by_time += u64::from(accurate & !self.cols.time_ok[i]);
-            if horizon < self.cols.min_admissible[i] {
-                continue;
+            by_time += u64::from(accurate & !c.time_ok[i]);
+            if horizon >= c.min_admissible[i] {
+                admitted.push(i);
             }
-            let window = self.cols.windows[i]
-                .truncate(last)
-                .expect("h ≥ min_admissible implies h ≥ window start");
-            bids.push(QualifiedBid {
-                bid_ref: self.cols.bid_refs[i],
-                price: self.cols.prices[i],
-                accuracy: self.cols.accuracies[i],
-                window,
-                rounds: self.cols.rounds[i],
-                round_time: self.cols.round_times[i],
-            });
         }
-        let (examined, accepted) = (self.cols.len() as u64, bids.len() as u64);
+        let (examined, accepted) = (c.len() as u64, admitted.len() as u64);
         counter!("qualify.examined", examined);
         counter!("qualify.rejected_accuracy", by_accuracy);
         counter!("qualify.rejected_time", by_time);
@@ -312,7 +304,22 @@ impl SweepPrecomp {
             examined - by_accuracy - by_time - accepted
         );
         counter!("qualify.accepted", accepted);
-        Wdp::new(horizon, self.k, bids)
+        // Each column is gathered in one pass over the admitted slots. A
+        // horizon at or past `min_admissible` is at or past the window
+        // start, so the truncated window `[a, min(d, T̂_g)]` is never empty.
+        let bids = ColumnarBids::from_columns(
+            admitted.iter().map(|&i| c.bid_refs[i]).collect(),
+            admitted.iter().map(|&i| c.prices[i]).collect(),
+            admitted.iter().map(|&i| c.accuracies[i]).collect(),
+            admitted.iter().map(|&i| c.windows[i].start().0).collect(),
+            admitted
+                .iter()
+                .map(|&i| c.windows[i].end().0.min(horizon))
+                .collect(),
+            admitted.iter().map(|&i| c.rounds[i]).collect(),
+            admitted.iter().map(|&i| c.round_times[i]).collect(),
+        );
+        Wdp::from_columns(horizon, self.k, bids)
     }
 
     /// A cheap lower bound on the social cost of **any** feasible solution
@@ -387,14 +394,6 @@ fn accuracy_threshold(accuracy: f64, cap: u32) -> u32 {
     h
 }
 
-/// An order-preserving `u64` image of `x`: `a.total_cmp(&b)` equals
-/// `avg_key(a).cmp(&avg_key(b))`, `−0.0` below `+0.0` included. A negative
-/// float has every bit flipped, a positive one only its sign bit.
-fn avg_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
-}
-
 /// Saturating `u64 → u32` for window thresholds (a saturated threshold can
 /// never be reached by a real horizon, which is the correct reading).
 fn clamp_u32(x: u64) -> u32 {
@@ -406,7 +405,7 @@ mod tests {
     use super::*;
     use crate::bid::ClientProfile;
     use crate::online::OnlineAuction;
-    use crate::types::ClientId;
+    use crate::types::{ClientId, Round};
     use crate::wdp::WdpSolver;
     use crate::winner::AWinner;
     use fl_telemetry::{install_local, Recorder, Snapshot};

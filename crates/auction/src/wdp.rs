@@ -5,15 +5,16 @@
 //! such that every round `1..=T̂_g` has at least `K` scheduled clients
 //! (ILP (7) in the paper, after the compact-exponential reformulation).
 
+use std::sync::OnceLock;
+
+use crate::columnar::ColumnarBids;
 use crate::error::WdpError;
 use crate::types::{BidRef, Round, Window};
 
 /// One bid together with the per-horizon data the solvers need: a row of
-/// a [`Wdp`], as [`SweepPrecomp::qualify_at`] emits it.
+/// a [`Wdp`]'s [row view](Wdp::bids).
 ///
 /// This is a passive record; fields are public on purpose.
-///
-/// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualifiedBid {
     /// Which submitted bid this is.
@@ -32,32 +33,55 @@ pub struct QualifiedBid {
 
 /// One WDP instance: a horizon, the per-round demand, and the qualified
 /// bids admitted for this horizon.
+///
+/// The bids are held as [`ColumnarBids`], the layout `A_winner` runs on:
+/// [`SweepPrecomp::qualify_at`] writes them there directly. The row form
+/// ([`bids`](Wdp::bids)) is built on first use, for the row-form solvers
+/// and the checkers.
+///
+/// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
 #[derive(Debug, Clone)]
 pub struct Wdp {
     horizon: u32,
     k: u32,
-    bids: Vec<QualifiedBid>,
+    cols: ColumnarBids,
+    rows: OnceLock<Vec<QualifiedBid>>,
 }
 
 impl Wdp {
-    /// Wraps a qualified bid set.
+    /// Wraps a qualified bid set, transposing it into columns once.
     ///
     /// # Panics
     ///
     /// Panics if `horizon` or `k` is zero, or if any bid's window escapes
     /// the horizon (qualification is supposed to clip windows).
     pub fn new(horizon: u32, k: u32, bids: Vec<QualifiedBid>) -> Self {
+        let cols = ColumnarBids::from(bids.as_slice());
+        Wdp {
+            rows: OnceLock::from(bids),
+            ..Wdp::from_columns(horizon, k, cols)
+        }
+    }
+
+    /// Wraps qualified bids that are already columns; the row view is
+    /// built on first use. Same panics as [`Wdp::new`].
+    pub(crate) fn from_columns(horizon: u32, k: u32, cols: ColumnarBids) -> Self {
         assert!(horizon >= 1, "horizon must be at least 1");
         assert!(k >= 1, "per-round demand must be at least 1");
-        for b in &bids {
+        for i in 0..cols.len() {
             assert!(
-                b.window.end().0 <= horizon,
+                cols.end(i) <= horizon,
                 "bid {} window {} escapes horizon {horizon}",
-                b.bid_ref,
-                b.window
+                cols.bid_ref(i),
+                cols.get(i).window
             );
         }
-        Wdp { horizon, k, bids }
+        Wdp {
+            horizon,
+            k,
+            cols,
+            rows: OnceLock::new(),
+        }
     }
 
     /// The horizon `T̂_g`.
@@ -70,9 +94,25 @@ impl Wdp {
         self.k
     }
 
-    /// The qualified bids.
+    /// Number of qualified bids.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Whether no bid qualified.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
+    /// The qualified bids as columns, in the same order as
+    /// [`bids`](Wdp::bids).
+    pub fn columns(&self) -> &ColumnarBids {
+        &self.cols
+    }
+
+    /// The qualified bids as rows, built from the columns on first use.
     pub fn bids(&self) -> &[QualifiedBid] {
-        &self.bids
+        self.rows.get_or_init(|| self.cols.to_bids())
     }
 
     /// A quick necessary (not sufficient) feasibility check: every round
@@ -81,20 +121,22 @@ impl Wdp {
     /// Distinct clients per round come from a difference array: each
     /// client's windows are merged into disjoint intervals, every merged
     /// interval adds +1 at its start and −1 one past its end, and a prefix
-    /// sum yields the per-round count. Rows sorted by client — the
-    /// client-major order [`SweepPrecomp::qualify_at`] emits — are
-    /// consumed in one pass, one client run at a time: `O(N log J + T̂_g)`
-    /// for `N` bids of at most `J` per client, with no per-call buffer of
-    /// size `N`. Rows in any other order (hand-built instances, baselines)
-    /// are sorted by client first. The per-round `HashSet` reference lives
-    /// in `fl-certify`.
+    /// sum yields the per-round count. Clients are told apart by their
+    /// [client slots](ColumnarBids::client_slot). Bids in ascending slot
+    /// order — the client-major order [`SweepPrecomp::qualify_at`] emits,
+    /// and any client-major rows — are consumed in one pass, one client
+    /// run at a time: `O(N log J + T̂_g)` for `N` bids of at most `J` per
+    /// client, with no per-call buffer of size `N`. Bids in any other
+    /// order are sorted by slot first. The per-round `HashSet` reference
+    /// lives in `fl-certify`.
     ///
     /// [`SweepPrecomp::qualify_at`]: crate::SweepPrecomp::qualify_at
     pub fn obviously_infeasible(&self) -> bool {
-        let row = |b: &QualifiedBid| (b.bid_ref.client.0, b.window.start().0, b.window.end().0);
+        let c = &self.cols;
+        let row = |i: usize| (c.client_slot(i), c.start(i), c.end(i));
         let mut diff = vec![0i64; self.horizon as usize + 1];
-        if !add_client_runs(&mut diff, self.bids.iter().map(row)) {
-            let mut rows: Vec<(u32, u32, u32)> = self.bids.iter().map(row).collect();
+        if !add_client_runs(&mut diff, (0..c.len()).map(row)) {
+            let mut rows: Vec<(u32, u32, u32)> = (0..c.len()).map(row).collect();
             rows.sort_unstable();
             diff.fill(0);
             add_client_runs(&mut diff, rows.into_iter());
@@ -364,6 +406,8 @@ mod tests {
         assert_eq!(w.horizon(), 3);
         assert_eq!(w.demand_per_round(), 1);
         assert_eq!(w.bids().len(), 1);
+        assert_eq!((w.len(), w.is_empty()), (1, false));
+        assert_eq!(w.columns().to_bids(), w.bids());
     }
 
     #[test]

@@ -9,17 +9,19 @@
 //! run is replayed into the dual of the relaxed compact-exponential ILP to
 //! produce an instance-specific approximation certificate (Lemma 5).
 //!
-//! The greedy runs over the columnar bid store of [`crate::columnar`]: a
-//! struct-of-arrays view of the qualified bids, a per-thread scratch arena
-//! reused across the horizon sweep, and a bucketed coverage index that
-//! keeps lazy-queue entries valid until a load inside their window
-//! actually changes. Its reference is the row-form full scan
+//! The greedy runs over the columnar bid store of [`crate::columnar`]: the
+//! struct-of-arrays columns the [`Wdp`] holds (written by
+//! [`SweepPrecomp::qualify_at`](crate::SweepPrecomp::qualify_at), so
+//! nothing is transposed per solve), a per-thread scratch arena reused
+//! across the horizon sweep, a lazy heap of 16-byte entries, and a
+//! bucketed coverage index that keeps lazy-queue entries valid until a
+//! load inside their window actually changes. Its reference is the row-form full scan
 //! `fl_certify::oracle::greedy`, which re-evaluates every bid each
 //! iteration and builds its own dual certificate;
 //! `crates/certify/tests/columnar_equivalence.rs` holds the two
 //! bit-identical, certificates included, under both schedule policies.
 
-use crate::columnar::{with_scratch, ColumnarBids, HeapSlot};
+use crate::columnar::{avg_key, with_scratch, HeapSlot};
 use crate::error::WdpError;
 use crate::payment::{payment, PaymentRule};
 use crate::schedule::{gain_in_window, pick_schedule_into, SchedulePolicy};
@@ -156,9 +158,9 @@ impl WdpSolver for AWinner {
 impl AWinner {
     fn solve_inner(&self, wdp: &Wdp) -> Result<(WdpSolution, Vec<SelectionStep>), WdpError> {
         let horizon = wdp.horizon();
-        let bids = wdp.bids();
+        let cols = wdp.columns();
         let (raw, phi) = {
-            let _greedy = span!("wdp_greedy", bids = bids.len() as u64);
+            let _greedy = span!("wdp_greedy", bids = cols.len() as u64);
             columnar_greedy(wdp, self.policy)?
         };
 
@@ -171,7 +173,7 @@ impl AWinner {
                     }
                     payment(
                         self.payment_rule,
-                        bids[w.bid_idx].price,
+                        cols.price(w.bid_idx),
                         w.gain,
                         w.critical_avg,
                     )
@@ -189,7 +191,7 @@ impl AWinner {
         let trace: Vec<SelectionStep> = raw
             .iter()
             .map(|w| SelectionStep {
-                bid_ref: bids[w.bid_idx].bid_ref,
+                bid_ref: cols.bid_ref(w.bid_idx),
                 gain: w.gain,
                 avg: w.avg,
                 critical_avg: w.critical_avg,
@@ -201,11 +203,11 @@ impl AWinner {
             .into_iter()
             .zip(payments)
             .map(|(w, pay)| {
-                let qb = &bids[w.bid_idx];
-                cost += qb.price;
+                let price = cols.price(w.bid_idx);
+                cost += price;
                 WinnerEntry {
-                    bid_ref: qb.bid_ref,
-                    price: qb.price,
+                    bid_ref: cols.bid_ref(w.bid_idx),
+                    price,
                     payment: pay,
                     schedule: w.schedule,
                 }
@@ -215,9 +217,9 @@ impl AWinner {
     }
 }
 
-/// The columnar greedy loop — Alg. 2 over the struct-of-arrays store of
-/// [`crate::columnar`], with the lazy candidate queue validated by the
-/// bucketed coverage index instead of per-iteration staleness.
+/// The columnar greedy loop — Alg. 2 over the [`Wdp`]'s struct-of-arrays
+/// columns ([`crate::columnar`]), with the lazy candidate queue validated
+/// by the bucketed coverage index instead of per-iteration staleness.
 ///
 /// # Why this is bit-identical to the row-form full scan
 ///
@@ -227,19 +229,19 @@ impl AWinner {
 ///
 /// A candidate's average cost `ρ / R_il(S)` can only **grow** as coverage
 /// accumulates (availability shrinks monotonically), so a cached heap key
-/// is a lower bound on the entry's current value. When the popped minimum
+/// is a lower bound on the entry's current value. When the minimum entry
 /// is *current* — no round in its window saturated since its stamp
 /// ([`crate::columnar::CoverageIndex::is_current`]) — its cached `avg` and
 /// `gain` are exact (gain is `min(c, m)` with `m` the window's unsaturated
 /// round count; see [`gain_in_window`]), and every other entry's true
-/// value is at least its own cached key ≥ the popped key, so the pop is
-/// the exact minimum under the full `(avg, price, bid_ref)` order. Stale
-/// pops are re-evaluated with the sort-free [`gain_in_window`]; if the
-/// recomputed gain matches the cached key the bucket hit was conservative
-/// and the pop is *still* the exact minimum (same lower-bound argument),
-/// so it is accepted in place — only a genuinely changed key is counted
-/// by `winner.lazy_refreshes` and re-inserted. Because an entry stays
-/// valid until a round in its window actually saturates — at most `T̂_g`
+/// value is at least its own cached key ≥ the top's key, so the top is
+/// the exact minimum under the full `(avg, price, bid_ref)` order. A stale
+/// top is re-evaluated with the sort-free [`gain_in_window`]; if the
+/// recomputed gain matches the cached one the bucket hit was conservative
+/// and the top is *still* the exact minimum (same lower-bound argument),
+/// so it is accepted in place — only a genuinely changed gain is counted
+/// by `winner.lazy_refreshes` and re-keyed. Because an entry stays valid
+/// until a round in its window actually saturates — at most `T̂_g`
 /// saturations exist per run — valid entries survive *across* iterations,
 /// which collapses the refresh count relative to the old one-iteration
 /// freshness rule.
@@ -250,67 +252,62 @@ impl AWinner {
 /// Dropping the per-entry `Vec` keeps heap slots `Copy` and the seed pass
 /// allocation-free.
 ///
-/// The seed reads no loads: before the first selection every round is
-/// unsaturated, so the gain is `min(c, d − a + 1)` under either policy.
-/// The seed entries go into the heap unordered and are heapified once,
-/// bottom-up, in `O(n)` ([`LazyHeap::fill`]). The pop sequence does not
-/// depend on how the heap was built: live keys are unique (`bid_ref` is
-/// the last tie-break and a bid holds at most one live entry), so every
-/// pop returns the one minimum.
+/// The pop sequence does not depend on how the heap was built or
+/// repaired: live keys are unique (`bid_ref` is the last tie-break and a
+/// bid holds at most one live entry), so every pop returns the one
+/// minimum. That covers the seed, which is heapified once, bottom-up, in
+/// `O(n)` ([`LazyHeap::fill`]) — before the first selection every round
+/// is unsaturated, so the gain is `min(c, d − a + 1)` under either policy
+/// and the seed reads no loads — and a refreshed top, which is re-keyed
+/// in place and sifted down once ([`LazyHeap::rekey_top`]) rather than
+/// popped and pushed. The cached gain and stamp of each bid live in the
+/// scratch columns `gains` and `stamps`; `avg` is recomputed as
+/// `price / gain`, the division the cached key was made from.
 ///
 /// [`LazyHeap::fill`]: crate::columnar::LazyHeap::fill
+/// [`LazyHeap::rekey_top`]: crate::columnar::LazyHeap::rekey_top
 fn columnar_greedy(
     wdp: &Wdp,
     policy: SchedulePolicy,
 ) -> Result<(Vec<RawWinner>, Vec<Vec<f64>>), WdpError> {
     let horizon = wdp.horizon();
     let k = wdp.demand_per_round();
-    assert!(horizon >= 1, "horizon must be at least 1");
-    assert!(k >= 1, "per-round demand must be at least 1");
-    let cols = ColumnarBids::from(wdp.bids());
+    let cols = wdp.columns();
+    let avg = |i: usize, gain: u32| cols.price(i) / f64::from(gain);
     let total = u64::from(k) * u64::from(horizon);
     let mut raw: Vec<RawWinner> = Vec::new();
     // φ(t, l) of selected schedules, per round (for η_φ).
     let mut phi: Vec<Vec<f64>> = vec![Vec::new(); horizon as usize];
     let mut refreshes = 0u64;
     let feasible = with_scratch(|s| {
-        s.reset(horizon, cols.len(), cols.num_clients());
+        s.reset(horizon, cols.len(), cols.num_slots());
         // Seed: every bid evaluated under the empty coverage, stamp 0.
-        s.heap.fill((0..cols.len()).filter_map(|i| {
-            let gain = cols.rounds(i).min(cols.end(i) - cols.start(i) + 1);
-            // Gains never grow back, so a zero gain never enters.
-            (gain != 0).then(|| HeapSlot {
-                avg: cols.price(i) / f64::from(gain),
-                price: cols.price(i),
-                bid_ref: cols.bid_ref(i),
-                idx: i as u32,
-                gain,
-                stamp: 0,
-            })
-        }));
+        let gains = &mut s.gains;
+        s.heap.fill(
+            (0..cols.len()).filter_map(|i| {
+                let gain = cols.rounds(i).min(cols.end(i) - cols.start(i) + 1);
+                gains[i] = gain;
+                // Gains never grow back, so a zero gain never enters.
+                (gain != 0).then(|| HeapSlot::new(i as u32, avg(i, gain)))
+            }),
+            cols,
+        );
         let mut covered = 0u64;
         while covered < total {
-            // Pop until we hold the exact minimum and runner-up.
+            // Take tops until we hold the exact minimum and runner-up.
             let mut best: Option<HeapSlot> = None;
             let mut second: Option<HeapSlot> = None;
             while second.is_none() {
-                let Some(top) = s.heap.pop() else {
+                let Some(top) = s.heap.peek() else {
                     break;
                 };
                 let i = top.idx as usize;
-                if s.pair_selected[i] {
-                    continue; // selected pairs leave G permanently
-                }
                 if s.client_selected[cols.client_slot(i) as usize] {
-                    continue; // the client already won another bid
+                    // The client already won (this or another) bid.
+                    s.heap.pop(cols);
+                    continue;
                 }
-                if s.index.is_current(cols.start(i), cols.end(i), top.stamp) {
-                    if best.is_none() {
-                        best = Some(top);
-                    } else {
-                        second = Some(top);
-                    }
-                } else {
+                if !s.index.is_current(cols.start(i), cols.end(i), s.stamps[i]) {
                     let gain = gain_in_window(
                         &s.loads,
                         k,
@@ -319,34 +316,29 @@ fn columnar_greedy(
                         cols.rounds(i),
                         policy,
                     );
-                    if gain == top.gain {
-                        // The bucketed index was conservative: no round this
-                        // bid counts on actually saturated, so the cached key
-                        // is exact and this pop is still the true minimum of
-                        // the candidate set (every other cached key is a
-                        // lower bound that already sorts after it). Re-stamp
-                        // and accept — no invalidation happened.
-                        let fresh = HeapSlot {
-                            stamp: s.index.clock(),
-                            ..top
-                        };
-                        if best.is_none() {
-                            best = Some(fresh);
+                    s.stamps[i] = s.index.clock();
+                    // An unchanged gain means the bucketed index was
+                    // conservative: no round this bid counts on actually
+                    // saturated, so the cached key is exact and the top is
+                    // still the true minimum of the candidate set (every
+                    // other cached key is a lower bound that already sorts
+                    // after it). It is accepted below.
+                    if gain != s.gains[i] {
+                        refreshes += 1;
+                        s.gains[i] = gain;
+                        if gain == 0 {
+                            s.heap.pop(cols); // monotone: will never help again
                         } else {
-                            second = Some(fresh);
+                            s.heap.rekey_top(avg_key(avg(i, gain)), cols);
                         }
                         continue;
                     }
-                    refreshes += 1;
-                    if gain == 0 {
-                        continue; // monotone: will never help again
-                    }
-                    s.heap.push(HeapSlot {
-                        avg: cols.price(i) / f64::from(gain),
-                        stamp: s.index.clock(),
-                        gain,
-                        ..top
-                    });
+                }
+                s.heap.pop(cols);
+                if best.is_none() {
+                    best = Some(top);
+                } else {
+                    second = Some(top);
                 }
             }
             let Some(win) = best else {
@@ -354,9 +346,11 @@ fn columnar_greedy(
             };
             if let Some(sec) = second {
                 // Still current — back into the heap untouched.
-                s.heap.push(sec);
+                s.heap.push(sec, cols);
             }
             let i = win.idx as usize;
+            let win_gain = s.gains[i];
+            let win_avg = avg(i, win_gain);
             // A current entry re-derives to exactly its cached evaluation.
             let gain = pick_schedule_into(
                 &s.loads,
@@ -369,17 +363,17 @@ fn columnar_greedy(
                 &mut s.schedule,
             );
             debug_assert_eq!(
-                gain, win.gain,
+                gain, win_gain,
                 "current winner entry must re-derive exactly"
             );
-            let mut available = Vec::with_capacity(win.gain as usize);
+            let mut available = Vec::with_capacity(win_gain as usize);
             s.index.advance();
             for &t in &s.schedule {
                 let load = &mut s.loads[(t - 1) as usize];
                 if *load < k {
                     covered += 1;
                     available.push(Round(t));
-                    phi[(t - 1) as usize].push(win.avg);
+                    phi[(t - 1) as usize].push(win_avg);
                     if *load + 1 == k {
                         // The round just saturated: cached gains whose
                         // windows contain it are stale from here on.
@@ -388,15 +382,14 @@ fn columnar_greedy(
                 }
                 *load += 1;
             }
-            s.pair_selected[i] = true;
             s.client_selected[cols.client_slot(i) as usize] = true;
             raw.push(RawWinner {
                 bid_idx: i,
                 schedule: s.schedule.iter().map(|&t| Round(t)).collect(),
                 available,
-                avg: win.avg,
-                gain: win.gain,
-                critical_avg: second.map(|c| c.avg),
+                avg: win_avg,
+                gain: win_gain,
+                critical_avg: second.map(|sec| avg(sec.idx as usize, s.gains[sec.idx as usize])),
             });
         }
         true
@@ -486,12 +479,14 @@ fn psi_bounds(wdp: &Wdp) -> (Vec<f64>, Vec<f64>) {
     // block of rounds `i + 1 ..= i + 2^k`.
     let mut psi_max = vec![0.0f64; levels * rounds];
     let mut psi_min = vec![f64::INFINITY; levels * rounds];
-    for b in wdp.bids() {
-        let (a, d) = (b.window.start().index(), b.window.end().index());
+    let cols = wdp.columns();
+    for b in 0..cols.len() {
+        let (a, d) = (cols.start(b) as usize - 1, cols.end(b) as usize - 1);
         let k = (d - a + 1).ilog2() as usize;
-        let avg = b.price / f64::from(b.rounds.max(1));
+        let price = cols.price(b);
+        let avg = price / f64::from(cols.rounds(b).max(1));
         for i in [k * rounds + a, k * rounds + d + 1 - (1 << k)] {
-            psi_max[i] = psi_max[i].max(b.price);
+            psi_max[i] = psi_max[i].max(price);
             psi_min[i] = psi_min[i].min(avg);
         }
     }

@@ -25,8 +25,9 @@
 //!    consistency of `run_auction`'s horizon pick with a manual fold
 //!    over the sweep, at every candidate horizon the linear-time
 //!    feasibility check and certificate `ω` against their per-round
-//!    [`crate::oracle`]s, and at every horizon `1..=T` the qualified set
-//!    against the gate-by-gate [`oracle::qualify`].
+//!    [`crate::oracle`]s, and at every horizon `1..=T` the qualified
+//!    columns and the `qualify.*` counters against the gate-by-gate
+//!    [`oracle::qualify`].
 //!
 //! A documented non-bug is classified as a statistic, not a violation:
 //! greedy `A_winner` can stall (report infeasible) on instances the exact
@@ -40,15 +41,17 @@
 //! failures coincide with a stall anywhere along its price axis is counted
 //! in [`Stats::stalled_probes`] instead of flagged.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use fl_auction::truthful::{deviation_outcome, myerson_payment, wins_at, DeviationOutcome};
 use fl_auction::{
     min_horizon, run_auction, verify, AWinner, AuctionError, Bid, BidRef, ClientId, ClientProfile,
-    DecisionReason, Instance, OnlineAuction, OnlineDecision, Round, SweepPrecomp, Wdp, WdpError,
-    WdpSolution, WdpSolver, Window,
+    ColumnarBids, DecisionReason, Instance, OnlineAuction, OnlineDecision, Round, SweepPrecomp,
+    Wdp, WdpError, WdpSolution, WdpSolver, Window,
 };
 use fl_exact::{BruteForceSolver, ExactSolver, Optimality, ProvingWdpSolver};
+use fl_telemetry::{install_local, Recorder};
 
 use crate::gen::CertInstance;
 use crate::oracle;
@@ -129,7 +132,8 @@ pub mod prop {
     /// ([`crate::oracle::omega`]).
     pub const OMEGA_ORACLE: &str = "certificate_omega_vs_oracle";
     /// `SweepPrecomp::qualify_at` differs from the gate-by-gate
-    /// [`crate::oracle::qualify`] in bids, order or truncated windows.
+    /// [`crate::oracle::qualify`] in its `qualify.*` counters or in its
+    /// columns: bids, order, truncated windows or the client partition.
     pub const QUALIFY_ORACLE: &str = "qualify_vs_oracle";
 }
 
@@ -326,24 +330,86 @@ pub fn check(ci: &CertInstance) -> Report {
     }
 }
 
-/// Holds `precomp`'s qualified set to the gate-by-gate oracle at every
-/// horizon `1..=T`: the same bids, in the same order, with the same
-/// truncated windows.
+/// Holds `precomp` to the gate-by-gate oracle at every horizon `1..=T`:
+/// the `qualify.*` counters `qualify_at` emits against the oracle's
+/// [`oracle::QualifyCounts`], and its columns against the oracle's rows
+/// transposed by `ColumnarBids::from`, column for column (see
+/// [`column_mismatch`]).
 fn check_qualify_oracle(instance: &Instance, precomp: &SweepPrecomp, v: &mut Vec<Violation>) {
     for h in 1..=precomp.horizon_cap() {
-        let (expected, _) = oracle::qualify(instance, h);
+        let (expected, counts) = oracle::qualify(instance, h);
+        let recorder = Arc::new(Recorder::default());
+        let guard = install_local(recorder.clone());
         let got = precomp.qualify_at(h);
-        if got.bids() != expected.bids() {
+        drop(guard);
+        let counters = recorder.snapshot().counters;
+        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let got_counts = oracle::QualifyCounts {
+            examined: counter("qualify.examined"),
+            rejected_accuracy: counter("qualify.rejected_accuracy"),
+            rejected_time: counter("qualify.rejected_time"),
+            rejected_window: counter("qualify.rejected_window"),
+            accepted: counter("qualify.accepted"),
+        };
+        if got_counts != counts {
             v.push(Violation {
                 property: prop::QUALIFY_ORACLE,
                 detail: format!(
-                    "T_g={h}: qualify_at admitted {} bid(s), the oracle {}, and they differ",
-                    got.bids().len(),
-                    expected.bids().len()
+                    "T_g={h}: qualify_at counted {got_counts:?}, the oracle {counts:?}"
                 ),
             });
         }
+        let want = ColumnarBids::from(expected.bids());
+        if let Some(diff) = column_mismatch(got.columns(), &want) {
+            v.push(Violation {
+                property: prop::QUALIFY_ORACLE,
+                detail: format!("T_g={h}: qualify_at's columns differ from the oracle's: {diff}"),
+            });
+        }
     }
+}
+
+/// Where `got` first differs from `want`, or `None` if they hold the same
+/// bids in the same order, column for column (floats bit for bit), and
+/// their client slots partition the bids alike: two bids share a slot in
+/// `got` iff they share one in `want`. Slot numbers themselves may differ
+/// (`qualify_at` uses client ids, `From` first-appearance order).
+fn column_mismatch(got: &ColumnarBids, want: &ColumnarBids) -> Option<String> {
+    if got.len() != want.len() {
+        return Some(format!("{} bid(s) against {}", got.len(), want.len()));
+    }
+    let mut got_to_want: HashMap<u32, u32> = HashMap::new();
+    let mut want_to_got: HashMap<u32, u32> = HashMap::new();
+    for i in 0..got.len() {
+        let (g, w) = (got.get(i), want.get(i));
+        let columns = [
+            ("bid_ref", g.bid_ref == w.bid_ref),
+            ("price", g.price.to_bits() == w.price.to_bits()),
+            ("accuracy", g.accuracy.to_bits() == w.accuracy.to_bits()),
+            ("start", g.window.start() == w.window.start()),
+            ("end", g.window.end() == w.window.end()),
+            ("rounds", g.rounds == w.rounds),
+            (
+                "round_time",
+                g.round_time.to_bits() == w.round_time.to_bits(),
+            ),
+        ];
+        if let Some((column, _)) = columns.iter().find(|(_, same)| !same) {
+            return Some(format!("bid {i} ({}): {column}", w.bid_ref));
+        }
+        let (gs, ws) = (got.client_slot(i), want.client_slot(i));
+        if gs as usize >= got.num_slots()
+            || *got_to_want.entry(gs).or_insert(ws) != ws
+            || *want_to_got.entry(ws).or_insert(gs) != gs
+        {
+            return Some(format!(
+                "bid {i} ({}): client slot {gs} of {} does not partition the bids as {ws} does",
+                w.bid_ref,
+                got.num_slots()
+            ));
+        }
+    }
+    None
 }
 
 /// Holds `Wdp::obviously_infeasible` to its per-round `HashSet` oracle,

@@ -176,7 +176,7 @@ fn columnar_bids_round_trip_on_all_shape_families() {
         }
         let distinct: std::collections::BTreeSet<u32> =
             wdp.bids().iter().map(|b| b.bid_ref.client.0).collect();
-        assert_eq!(cols.num_clients(), distinct.len());
+        assert_eq!(cols.num_slots(), distinct.len());
         assert_eq!(
             wdp.obviously_infeasible(),
             oracle::obviously_infeasible(wdp),
@@ -230,7 +230,7 @@ fn columnar_bids_round_trip_on_adversarial_random_rows() {
             };
             assert_eq!(cols.client_slot(i), slot as u32, "trial {trial}, row {i}");
         }
-        assert_eq!(cols.num_clients(), first_seen.len());
+        assert_eq!(cols.num_slots(), first_seen.len());
         // Feasibility verdicts: the rows as drawn (mostly out of client
         // order: the sorting path) and sorted by client (the one-pass
         // path).

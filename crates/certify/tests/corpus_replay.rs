@@ -2,6 +2,7 @@
 //! engine. Each file pinned a real mechanism edge case when it was added;
 //! this test is the permanent regression net that keeps them green.
 
+use fl_auction::{run_auction, SweepPrecomp};
 use fl_certify::{check, check_replay, corpus_dir, load_dir};
 
 #[test]
@@ -70,4 +71,21 @@ fn corpus_entries_still_exercise_their_edge_cases() {
     // T_0 == T: the sweep must have collapsed to a single candidate.
     let single = stats_of("t0-eq-t-single-horizon.json");
     assert_eq!(single.horizons, 1, "t0_eq_t entry qualifies extra horizons");
+
+    // Horizon 3's bound must still round above horizon 4's, so best-first
+    // visits 4 first, and the two must still tie on cost at the smaller
+    // horizon's pick.
+    let (_, ci) = entries
+        .iter()
+        .find(|(n, _)| n == "prune-bound-rounded-above-tie.json")
+        .expect("prune entry missing from corpus");
+    let instance = ci.to_instance().expect("prune entry must build");
+    let precomp = SweepPrecomp::new(&instance);
+    let outcome = run_auction(&instance).expect("prune entry is feasible");
+    assert!(
+        precomp.cost_lower_bound(3) > outcome.social_cost()
+            && precomp.cost_lower_bound(4) == outcome.social_cost(),
+        "prune entry's bounds no longer straddle the tied cost"
+    );
+    assert_eq!(outcome.horizon(), 3);
 }
